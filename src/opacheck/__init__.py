@@ -47,12 +47,6 @@ from .verifiers import (
     Witness,
     check,
     check_all,
-    check_cso,
-    check_inf_sso,
-    check_iso,
-    check_scso,
-    check_siso,
-    extract_witness,
 )
 
 __version__ = "0.1.0"
@@ -77,15 +71,9 @@ __all__ = [
     "build_observer",
     "check",
     "check_all",
-    "check_cso",
-    "check_inf_sso",
-    "check_iso",
-    "check_scso",
-    "check_siso",
     "delta_extended",
     "enumerate_runs",
     "export_dot",
-    "extract_witness",
     "load",
     "oracle_cso",
     "oracle_inf_sso",

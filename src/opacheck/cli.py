@@ -13,7 +13,6 @@ import sys
 import warnings
 
 from . import generate
-from .constructions import build_cc, build_gdss, build_ghat, build_observer
 from .fileformat import (
     FormatError,
     cc_document,
@@ -24,7 +23,7 @@ from .fileformat import (
     serialize,
 )
 from .model import AutomatonWarning, ValidationError
-from .verifiers import PROPERTIES, check_all, verdict_record
+from .verifiers import PROPERTIES, Structures, check_all, verdict_record
 
 _PROPERTY_TOKENS = {
     "cso": "CSO",
@@ -61,17 +60,18 @@ def cmd_check(args) -> int:
         if token not in _PROPERTY_TOKENS:
             print(f"error: unknown property {token!r}", file=sys.stderr)
             return 2
-    selected = [t for t in _TOKEN_ORDER if t in tokens]
+    if not tokens:
+        print("error: no property selected", file=sys.stderr)
+        return 2
+    selected = [_PROPERTY_TOKENS[t] for t in _TOKEN_ORDER if t in tokens]
     try:
         aut = _load_automaton(args.file)
     except (OSError, FormatError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    verdicts = check_all(aut, witness=args.witness)
     all_hold = True
-    for token in selected:
-        verdict = verdicts[_PROPERTY_TOKENS[token]]
+    for verdict in check_all(aut, witness=args.witness, properties=selected).values():
         all_hold &= verdict.holds
         if args.output == "machine":
             print(json.dumps(verdict_record(verdict), sort_keys=True))
@@ -87,17 +87,7 @@ def cmd_export(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    gdss = build_gdss(aut)
-    if args.structure == "gdss":
-        structure = gdss
-    elif args.structure == "ghat":
-        structure = build_ghat(aut)
-    elif args.structure == "observer":
-        structure = build_observer(gdss)
-    elif args.structure == "cc":
-        structure = build_cc(aut, build_observer(gdss))
-    else:  # cc-hat
-        structure = build_cc(build_ghat(aut), build_observer(gdss))
+    structure = getattr(Structures(aut), args.structure.replace("-", "_"))
 
     if not getattr(structure, "states", ()):
         print(f"warning: {args.structure} is empty for this input", file=sys.stderr)

@@ -22,6 +22,7 @@ initial states, and order their components lexicographically.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -94,19 +95,6 @@ class ObserverAutomaton:
         """Successor subset, or None where the observer is undefined."""
         return self.transitions.get((subset, event))
 
-    def run(self, observation: Iterable[str]) -> "frozenset[str] | None":
-        """Fold an observation from the initial subset; None if undefined."""
-        here = self.initial
-        for event in observation:
-            if here is None:
-                return None
-            here = self.step(here, event)
-        return here
-
-    @property
-    def transition_count(self) -> int:
-        return len(self.transitions)
-
 
 @dataclass(frozen=True)
 class CCAutomaton:
@@ -145,16 +133,17 @@ class CCAutomaton:
         return tuple(s for s in self.empty_right_states if self.is_left_secret(s))
 
 
-def build_gdss(g: Automaton) -> Automaton:
-    """Non-secret core of ``g``.
+def _restrict(
+    g: Automaton, initial: frozenset[str], allowed: frozenset[str], secret: frozenset[str]
+) -> Automaton:
+    """The part of ``g`` reachable from ``initial`` through ``allowed``
+    states.
 
-    Keeps exactly the non-secret states reachable from the non-secret
-    initial states along runs that never visit a secret state; the
-    alphabet shrinks to the events labelling a surviving transition.
-    The result may be empty.
+    The alphabet shrinks to the events labelling a surviving transition;
+    observability tags are inherited and the surviving states of
+    ``secret`` stay secret.
     """
-    allowed = g._state_set - g.secret_states
-    seen = set(g.non_secret_initials)
+    seen = set(initial)
     frontier = sorted(seen)
     while frontier:
         state = frontier.pop()
@@ -169,36 +158,28 @@ def build_gdss(g: Automaton) -> Automaton:
         events=used_events,
         observable=g.observable & used_events,
         transitions=kept,
-        initial_states=g.non_secret_initials,
-        secret_states=(),
+        initial_states=initial,
+        secret_states=secret & seen,
     )
+
+
+def build_gdss(g: Automaton) -> Automaton:
+    """Non-secret core of ``g``.
+
+    Keeps exactly the non-secret states reachable from the non-secret
+    initial states along runs that never visit a secret state.  The
+    result may be empty.
+    """
+    return _restrict(g, g.non_secret_initials, g._state_set - g.secret_states, frozenset())
 
 
 def build_ghat(g: Automaton) -> Automaton:
     """Secret-start restriction of ``g``.
 
     Keeps everything reachable from the secret initial states (secret or
-    not); empty when there is no secret initial state.  Secret marking
-    and observability tags are inherited.
+    not); empty when there is no secret initial state.
     """
-    seen = set(g.initial_states & g.secret_states)
-    frontier = sorted(seen)
-    while frontier:
-        state = frontier.pop()
-        for _, target in g.outgoing(state):
-            if target not in seen:
-                seen.add(target)
-                frontier.append(target)
-    kept = [(s, e, t) for (s, e, t) in g.transitions if s in seen and t in seen]
-    used_events = {e for _, e, _ in kept}
-    return Automaton.build(
-        states=seen,
-        events=used_events,
-        observable=g.observable & used_events,
-        transitions=kept,
-        initial_states=g.initial_states & g.secret_states,
-        secret_states=g.secret_states & seen,
-    )
+    return _restrict(g, g.initial_states & g.secret_states, g._state_set, g.secret_states)
 
 
 def build_observer(src: Automaton) -> ObserverAutomaton:
@@ -216,9 +197,9 @@ def build_observer(src: Automaton) -> ObserverAutomaton:
 
     transitions: dict[tuple[frozenset[str], str], frozenset[str]] = {}
     seen = {initial}
-    queue = [initial]
+    queue = deque([initial])
     while queue:
-        subset = queue.pop(0)
+        subset = queue.popleft()
         for event in alphabet:
             image: set[str] = set()
             for state in subset:
@@ -249,10 +230,10 @@ def build_cc(left: Automaton, obs: ObserverAutomaton) -> CCAutomaton:
     """
     initial = tuple(CCState(state, obs.initial) for state in sorted(left.initial_states))
     seen = set(initial)
-    queue = list(initial)
+    queue = deque(initial)
     transitions: set[tuple[CCState, EventPair, CCState]] = set()
     while queue:
-        src = queue.pop(0)
+        src = queue.popleft()
         for event, target in left.outgoing(src.left):
             if event in left.observable:
                 pair: EventPair = (event, event)

@@ -37,8 +37,13 @@ class FormatError(ValueError):
 
 
 def _check_name(name: str, kind: str, line: "int | None" = None) -> None:
-    if not name or any(ch.isspace() for ch in name):
-        raise FormatError(f"bad {kind} name {name!r}: must be nonempty without whitespace", line)
+    # '#' would start a comment and non-printable characters can end a
+    # line, so either would make a serialized name parse differently.
+    if not name or "#" in name or not name.isprintable() or any(ch.isspace() for ch in name):
+        raise FormatError(
+            f"bad {kind} name {name!r}: must be nonempty and printable, without whitespace or '#'",
+            line,
+        )
 
 
 @dataclass(frozen=True)

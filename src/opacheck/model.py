@@ -117,9 +117,6 @@ class Automaton:
                 by_src[src].append(dst)
         return {x: tuple(sorted(set(dsts))) for x, dsts in by_src.items()}
 
-    def is_observable(self, event: str) -> bool:
-        return event in self.observable
-
     def outgoing(self, state: str) -> tuple[tuple[str, str], ...]:
         """All (event, target) pairs leaving ``state``, sorted."""
         return self._out.get(state, ())

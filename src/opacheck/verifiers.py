@@ -1,19 +1,25 @@
 """Deciders for the five opacity properties, with witness extraction.
 
-The strong properties are decided on synchronized products: a property
-fails exactly when the product reaches a state whose estimate component
-has collapsed (for strong current-state opacity, additionally with a
-secret left component).  The standard current-state property is decided
-on the estimate automaton of the full system, and the standard
-initial-state property reuses the product machinery with secret deletion
-disabled.
+Every property is decided the same way: a structure built from the
+system reaches a bad state exactly when the property fails.  ``_SPECS``
+gives, per property, that structure, the structures whose sizes go in
+the verdict's stats, and the bad-state predicate.  The strong properties
+are decided on products with the observer of the non-secret core, where
+bad means a collapsed estimate (for strong current-state opacity, with a
+secret left component); standard current-state opacity on the estimate
+automaton of the full system, where bad means an estimate inside the
+secret set; standard initial-state opacity on the product of the
+secret-start part with the observer of the system restarted at its
+non-secret initial states.  :class:`Structures` builds each structure on
+first use, so properties decided together share it.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from collections import deque
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from .constructions import (
     CCAutomaton,
@@ -76,359 +82,208 @@ def witness_record(witness: "Witness | None") -> "dict | None":
 
 
 def verdict_record(verdict: Verdict) -> dict:
-    """JSON-ready form of a verdict; wall time is dropped so the record is
-    byte-stable across runs."""
-    stats = {k: v for k, v in verdict.stats.items() if k != "wall_time_s"}
+    """JSON-ready form of a verdict."""
     return {
         "property": verdict.property,
         "holds": verdict.holds,
         "witness": witness_record(verdict.witness),
-        "stats": stats,
+        "stats": dict(verdict.stats),
     }
+
+
+class Structures:
+    """The structures the properties are decided on, each built from the
+    system ``g`` on first use and shared from then on."""
+
+    def __init__(self, g: Automaton):
+        self.g = g
+
+    @cached_property
+    def gdss(self) -> Automaton:
+        return build_gdss(self.g)
+
+    @cached_property
+    def ghat(self) -> Automaton:
+        return build_ghat(self.g)
+
+    @cached_property
+    def observer(self) -> ObserverAutomaton:
+        """Observer of the non-secret core."""
+        return build_observer(self.gdss)
+
+    @cached_property
+    def cc(self) -> CCAutomaton:
+        return build_cc(self.g, self.observer)
+
+    @cached_property
+    def cc_hat(self) -> CCAutomaton:
+        return build_cc(self.ghat, self.observer)
+
+    @cached_property
+    def estimates(self) -> ObserverAutomaton:
+        """Estimate automaton of the full system."""
+        return build_observer(self.g)
+
+    @cached_property
+    def iso_observer(self) -> ObserverAutomaton:
+        """Observer of the system restarted at its non-secret initial states."""
+        return build_observer(replace(self.g, initial_states=self.g.non_secret_initials))
+
+    @cached_property
+    def cc_iso(self) -> CCAutomaton:
+        return build_cc(self.ghat, self.iso_observer)
+
+
+def _collapsed(g: Automaton, state: CCState) -> bool:
+    return state.right is None
+
+
+# property -> (structure decided on, structures sized in stats, bad(g, state))
+_SPECS: dict[str, tuple[str, tuple[str, ...], Callable[[Automaton, Any], bool]]] = {
+    CSO: ("estimates", ("estimates",), lambda g, q: q <= g.secret_states),
+    ISO: ("cc_iso", ("ghat", "iso_observer", "cc_iso"), _collapsed),
+    SCSO: (
+        "cc",
+        ("gdss", "observer", "cc"),
+        lambda g, s: s.right is None and s.left in g.secret_states,
+    ),
+    SISO: ("cc_hat", ("gdss", "ghat", "observer", "cc_hat"), _collapsed),
+    INF_SSO: ("cc", ("gdss", "observer", "cc"), _collapsed),
+}
+
+# Stats key prefix of each structure.
+_STATS_PREFIX = {
+    "gdss": "gdss",
+    "ghat": "ghat",
+    "observer": "observer",
+    "iso_observer": "observer",
+    "estimates": "estimate",
+    "cc": "product",
+    "cc_hat": "product",
+    "cc_iso": "product",
+}
+
+
+def _decide(structures: Structures, prop: str, witness: bool) -> Verdict:
+    try:
+        decided_on, sized, bad = _SPECS[prop]
+    except KeyError:
+        raise ValueError(f"unknown property: {prop!r}") from None
+    stats = {}
+    for name in sized:
+        structure = getattr(structures, name)
+        stats[f"{_STATS_PREFIX[name]}_states"] = len(structure.states)
+        stats[f"{_STATS_PREFIX[name]}_transitions"] = len(structure.transitions)
+    structure = getattr(structures, decided_on)
+    is_bad = partial(bad, structures.g)
+    holds = not any(map(is_bad, structure.states))
+    found = None
+    if witness and not holds:
+        if isinstance(structure, CCAutomaton):
+            found = extract_witness(structure, is_bad)
+        else:
+            found = _estimate_witness(structures.g, structure, is_bad)
+    return Verdict(prop, holds, found, stats)
+
+
+def check_all(
+    g: Automaton, witness: bool = False, properties: Iterable[str] = PROPERTIES
+) -> dict[str, Verdict]:
+    """Decide ``properties`` (all five by default), in the order given,
+    sharing the constructed structures between them.  Raises ValueError
+    for an unknown property."""
+    structures = Structures(g)
+    return {prop: _decide(structures, prop, witness) for prop in properties}
+
+
+def check(g: Automaton, prop: str, witness: bool = False) -> Verdict:
+    """Decide a single property by identifier."""
+    return check_all(g, witness, (prop,))[prop]
+
+
+def _shortest_path(
+    starts: Iterable[Hashable],
+    step: Callable[[Any], Iterable[tuple[Any, Hashable]]],
+    goal: Callable[[Any], bool],
+) -> "list[tuple[Any, Any]] | None":
+    """Shortest path from one of ``starts`` to a node satisfying ``goal``.
+
+    Breadth-first; ``step(node)`` yields (label, successor) pairs, and
+    starts and successors are tried in the order given, so the result is
+    reproducible.  The path is a list of (label, node) pairs whose first
+    label is None; it is None when no reachable node satisfies ``goal``.
+    """
+    parents: dict = dict.fromkeys(starts)  # node -> (parent, label); None for starts
+    queue = deque(parents)
+    found = next(filter(goal, parents), None)
+    while found is None and queue:
+        here = queue.popleft()
+        for label, node in step(here):
+            if node not in parents:
+                parents[node] = (here, label)
+                queue.append(node)
+                if goal(node):
+                    found = node
+                    break
+    if found is None:
+        return None
+    path = []
+    while parents[found] is not None:
+        prev, label = parents[found]
+        path.append((label, found))
+        found = prev
+    path.append((None, found))
+    return path[::-1]
 
 
 def extract_witness(cc: CCAutomaton, bad: Callable[[CCState], bool]) -> Witness:
-    """Shortest product path to a state satisfying ``bad``.
-
-    Breadth-first from the product's initial states; ties are broken by
-    event-pair order, so the result is reproducible.  Raises ValueError
-    when no bad state is reachable (caller bug).
-    """
-    parents: dict[CCState, "tuple[CCState, tuple] | None"] = {}
-    queue = []
-    found = None
-    for state in cc.initial_states:
-        if state in parents:
-            continue
-        parents[state] = None
-        queue.append(state)
-        if bad(state):
-            found = state
-            break
-    while found is None and queue:
-        src = queue.pop(0)
-        for pair, dst in cc.outgoing(src):
-            if dst in parents:
-                continue
-            parents[dst] = (src, pair)
-            queue.append(dst)
-            if bad(dst):
-                found = dst
-                break
-        else:
-            continue
-        break
-    if found is None:
-        raise ValueError("no product state satisfies the predicate")
-
-    path: list[tuple] = []
-    here = found
-    while parents[here] is not None:
-        src, pair = parents[here]  # type: ignore[misc]
-        path.append((pair, here))
-        here = src
-    path.reverse()
-    events = tuple(pair[0] for pair, _ in path)
-    observation = tuple(pair[1] for pair, _ in path if pair[1] is not None)
-    run = Run(here.left, tuple((pair[0], dst.left) for pair, dst in path))
-    return Witness(events, observation, found, run)
-
-
-def _timed_stats(start: float, stats: dict) -> dict:
-    stats["wall_time_s"] = time.perf_counter() - start
-    return stats
-
-
-def _automaton_sizes(prefix: str, aut: Automaton) -> dict:
-    return {
-        f"{prefix}_states": len(aut.states),
-        f"{prefix}_transitions": len(aut.transitions),
-    }
-
-
-def _observer_sizes(obs: ObserverAutomaton) -> dict:
-    return {"observer_states": len(obs.states), "observer_transitions": obs.transition_count}
-
-
-def _product_sizes(cc: CCAutomaton) -> dict:
-    return {"product_states": len(cc.states), "product_transitions": len(cc.transitions)}
-
-
-def _product_verdict(
-    prop: str,
-    cc: CCAutomaton,
-    bad: Callable[[CCState], bool],
-    stats: dict,
-    start: float,
-    witness: bool,
-) -> Verdict:
-    holds = not any(bad(state) for state in cc.states)
-    found = extract_witness(cc, bad) if (witness and not holds) else None
-    return Verdict(prop, holds, found, _timed_stats(start, stats))
-
-
-def check_scso(g: Automaton, witness: bool = False) -> Verdict:
-    """Strong current-state opacity: no reachable run ending in a secret
-    state may have an observation that lacks a fully non-secret
-    explanation."""
-    start = time.perf_counter()
-    gdss = build_gdss(g)
-    obs = build_observer(gdss)
-    cc = build_cc(g, obs)
-    stats = _automaton_sizes("gdss", gdss) | _observer_sizes(obs) | _product_sizes(cc)
-    bad = lambda s: s.right is None and cc.is_left_secret(s)
-    return _product_verdict(SCSO, cc, bad, stats, start, witness)
-
-
-def check_siso(g: Automaton, witness: bool = False) -> Verdict:
-    """Strong initial-state opacity: every run from a secret initial state
-    must be observation-matched by a fully non-secret run."""
-    start = time.perf_counter()
-    gdss = build_gdss(g)
-    obs = build_observer(gdss)
-    ghat = build_ghat(g)
-    cc = build_cc(ghat, obs)
-    stats = (
-        _automaton_sizes("gdss", gdss)
-        | _automaton_sizes("ghat", ghat)
-        | _observer_sizes(obs)
-        | _product_sizes(cc)
-    )
-    bad = lambda s: s.right is None
-    return _product_verdict(SISO, cc, bad, stats, start, witness)
-
-
-def check_inf_sso(g: Automaton, witness: bool = False) -> Verdict:
-    """Strong infinite-step opacity: every generated sequence must be
-    observation-matched by a fully non-secret run.  Shares the product of
-    :func:`check_scso`; only the bad-state predicate differs."""
-    start = time.perf_counter()
-    gdss = build_gdss(g)
-    obs = build_observer(gdss)
-    cc = build_cc(g, obs)
-    stats = _automaton_sizes("gdss", gdss) | _observer_sizes(obs) | _product_sizes(cc)
-    bad = lambda s: s.right is None
-    return _product_verdict(INF_SSO, cc, bad, stats, start, witness)
-
-
-def check_cso(g: Automaton, witness: bool = False) -> Verdict:
-    """Standard current-state opacity: no observation may pin the current
-    state inside the secret set.  Decided on the estimate automaton of
-    the full system."""
-    start = time.perf_counter()
-    estimates = build_observer(g)
-    stats = {
-        "estimate_states": len(estimates.states),
-        "estimate_transitions": estimates.transition_count,
-    }
-    bad = [q for q in estimates.states if q <= g.secret_states]
-    holds = not bad
-    found = _estimate_witness(g, estimates, set(bad)) if (witness and not holds) else None
-    return Verdict(CSO, holds, found, _timed_stats(start, stats))
-
-
-def check_iso(g: Automaton, witness: bool = False) -> Verdict:
-    """Standard initial-state opacity: every observation of a run from a
-    secret initial state must also be the observation of some run from a
-    non-secret initial state.  Reuses the product machinery against the
-    observer of the system restarted at the non-secret initials, with no
-    secret deletion."""
-    start = time.perf_counter()
-    ghat = build_ghat(g)
-    restarted = Automaton.build(
-        states=g.states,
-        events=g.events,
-        observable=g.observable,
-        transitions=g.transitions,
-        initial_states=g.non_secret_initials,
-        secret_states=g.secret_states,
-    )
-    obs = build_observer(restarted)
-    cc = build_cc(ghat, obs)
-    stats = _automaton_sizes("ghat", ghat) | _observer_sizes(obs) | _product_sizes(cc)
-    bad = lambda s: s.right is None
-    return _product_verdict(ISO, cc, bad, stats, start, witness)
+    """Shortest product path to a state satisfying ``bad``, which the
+    caller guarantees is reachable; ties are broken by event-pair order."""
+    path = _shortest_path(cc.initial_states, cc.outgoing, bad)
+    steps = path[1:]
+    events = tuple(pair[0] for pair, _ in steps)
+    observation = tuple(pair[1] for pair, _ in steps if pair[1] is not None)
+    run = Run(path[0][1].left, tuple((pair[0], dst.left) for pair, dst in steps))
+    return Witness(events, observation, path[-1][1], run)
 
 
 def _estimate_witness(
-    g: Automaton, estimates: ObserverAutomaton, bad: set[frozenset[str]]
+    g: Automaton, estimates: ObserverAutomaton, bad: Callable[[frozenset[str]], bool]
 ) -> Witness:
     """Witness for a current-state estimate violation: the shortest
     observation leading to a bad estimate, plus a shortest run realizing
     that observation."""
-    assert estimates.initial is not None
-    parents: dict[frozenset[str], "tuple[frozenset[str], str] | None"] = {
-        estimates.initial: None
-    }
-    queue = [estimates.initial]
-    found = estimates.initial if estimates.initial in bad else None
-    while found is None and queue:
-        subset = queue.pop(0)
+
+    def step(subset: frozenset[str]):
         for event in estimates.alphabet:
             successor = estimates.step(subset, event)
-            if successor is None or successor in parents:
-                continue
-            parents[successor] = (subset, event)
-            queue.append(successor)
-            if successor in bad:
-                found = successor
-                break
-        else:
-            continue
-        break
-    assert found is not None
-    observation: list[str] = []
-    here = found
-    while parents[here] is not None:
-        prev, event = parents[here]  # type: ignore[misc]
-        observation.append(event)
-        here = prev
-    observation.reverse()
+            if successor is not None:
+                yield event, successor
+
+    path = _shortest_path((estimates.initial,), step, bad)
+    observation = tuple(event for event, _ in path[1:])
     run = _realize_observation(g, observation)
-    return Witness(run.events, tuple(observation), found, run)
+    return Witness(run.events, observation, path[-1][1], run)
 
 
-def _realize_observation(g: Automaton, observation: list[str]) -> Run:
+def _realize_observation(g: Automaton, observation: tuple[str, ...]) -> Run:
     """Shortest run of ``g`` whose projection equals ``observation``.
 
     Breadth-first over (state, consumed-prefix-length) nodes; silent
     transitions keep the prefix length, matching observable transitions
-    advance it.  The caller guarantees such a run exists."""
+    advance it."""
     target = len(observation)
-    start_nodes = [(state, 0) for state in sorted(g.initial_states)]
-    parents: dict[tuple[str, int], "tuple[tuple[str, int], str] | None"] = {}
-    queue = []
-    found = None
-    for node in start_nodes:
-        parents[node] = None
-        queue.append(node)
-        if node[1] == target:
-            found = node
-            break
-    while found is None and queue:
-        node = queue.pop(0)
+
+    def step(node: tuple[str, int]):
         state, consumed = node
         for event, dst in g.outgoing(state):
-            if event in g.observable:
-                if consumed >= target or event != observation[consumed]:
-                    continue
-                nxt = (dst, consumed + 1)
-            else:
-                nxt = (dst, consumed)
-            if nxt in parents:
-                continue
-            parents[nxt] = (node, event)
-            queue.append(nxt)
-            if nxt[1] == target:
-                found = nxt
-                break
-        else:
-            continue
-        break
-    if found is None:
+            if event not in g.observable:
+                yield event, (dst, consumed)
+            elif consumed < target and event == observation[consumed]:
+                yield event, (dst, consumed + 1)
+
+    starts = [(state, 0) for state in sorted(g.initial_states)]
+    path = _shortest_path(starts, step, lambda node: node[1] == target)
+    if path is None:
         raise ValueError("observation is not realizable")
-    steps: list[tuple[str, str]] = []
-    here = found
-    while parents[here] is not None:
-        prev, event = parents[here]  # type: ignore[misc]
-        steps.append((event, here[0]))
-        here = prev
-    steps.reverse()
-    return Run(here[0], tuple(steps))
-
-
-_CHECKS = {
-    CSO: check_cso,
-    ISO: check_iso,
-    SCSO: check_scso,
-    SISO: check_siso,
-    INF_SSO: check_inf_sso,
-}
-
-
-def check(g: Automaton, prop: str, witness: bool = False) -> Verdict:
-    """Dispatch a single property check by identifier."""
-    try:
-        fn = _CHECKS[prop]
-    except KeyError:
-        raise ValueError(f"unknown property: {prop!r}") from None
-    return fn(g, witness=witness)
-
-
-def check_all(g: Automaton, witness: bool = False) -> dict[str, Verdict]:
-    """Decide all five properties, sharing the constructed structures.
-
-    Verdicts (including stats, minus timing) are identical to those of
-    the individual ``check_*`` functions.
-    """
-    start = time.perf_counter()
-    gdss = build_gdss(g)
-    obs_dss = build_observer(gdss)
-    ghat = build_ghat(g)
-    cc_full = build_cc(g, obs_dss)
-    cc_hat = build_cc(ghat, obs_dss)
-    estimates = build_observer(g)
-    restarted = Automaton.build(
-        states=g.states,
-        events=g.events,
-        observable=g.observable,
-        transitions=g.transitions,
-        initial_states=g.non_secret_initials,
-        secret_states=g.secret_states,
-    )
-    obs_iso = build_observer(restarted)
-    cc_iso = build_cc(ghat, obs_iso)
-
-    gdss_sizes = _automaton_sizes("gdss", gdss)
-    ghat_sizes = _automaton_sizes("ghat", ghat)
-    results: dict[str, Verdict] = {}
-
-    bad_estimates = {q for q in estimates.states if q <= g.secret_states}
-    cso_holds = not bad_estimates
-    results[CSO] = Verdict(
-        CSO,
-        cso_holds,
-        None
-        if (cso_holds or not witness)
-        else _estimate_witness(g, estimates, bad_estimates),
-        _timed_stats(
-            start,
-            {
-                "estimate_states": len(estimates.states),
-                "estimate_transitions": estimates.transition_count,
-            },
-        ),
-    )
-    results[ISO] = _product_verdict(
-        ISO,
-        cc_iso,
-        lambda s: s.right is None,
-        dict(ghat_sizes) | _observer_sizes(obs_iso) | _product_sizes(cc_iso),
-        start,
-        witness,
-    )
-    results[SCSO] = _product_verdict(
-        SCSO,
-        cc_full,
-        lambda s: s.right is None and cc_full.is_left_secret(s),
-        dict(gdss_sizes) | _observer_sizes(obs_dss) | _product_sizes(cc_full),
-        start,
-        witness,
-    )
-    results[SISO] = _product_verdict(
-        SISO,
-        cc_hat,
-        lambda s: s.right is None,
-        dict(gdss_sizes) | dict(ghat_sizes) | _observer_sizes(obs_dss) | _product_sizes(cc_hat),
-        start,
-        witness,
-    )
-    results[INF_SSO] = _product_verdict(
-        INF_SSO,
-        cc_full,
-        lambda s: s.right is None,
-        dict(gdss_sizes) | _observer_sizes(obs_dss) | _product_sizes(cc_full),
-        start,
-        witness,
-    )
-    return results
+    return Run(path[0][1][0], tuple((event, node[0]) for event, node in path[1:]))

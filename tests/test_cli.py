@@ -75,6 +75,30 @@ class TestCheck:
         assert code == 2
         assert "unknown property" in err
 
+    def test_empty_property_selection_is_an_input_error(self, capsys):
+        for selection in ("", ","):
+            code, out, err = run_cli(
+                capsys, "check", str(fixture_path("no_secrets")), "--property", selection
+            )
+            assert code == 2
+            assert out == ""
+            assert err == "error: no property selected\n"
+
+    def test_single_property_machine_output_matches_golden_line(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "check",
+            str(fixture_path("cso_but_not_scso")),
+            "--property",
+            "scso",
+            "--witness",
+            "--output",
+            "machine",
+        )
+        assert code == 1
+        golden = (GOLDEN / "check_cso_but_not_scso.jsonl").read_text().splitlines(keepends=True)
+        assert out == golden[2]
+
     def test_missing_file_is_an_input_error(self, capsys):
         code, _, err = run_cli(capsys, "check", "nonexistent.aut")
         assert code == 2

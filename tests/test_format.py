@@ -110,6 +110,11 @@ class TestDocument:
             AutomatonDocument(1, ("a b",), (), (), (), ())
         with pytest.raises(FormatError):
             AutomatonDocument(1, ("ok",), (("", True),), (), (), ())
+        # '#' starts a comment and would truncate the name on parse.
+        with pytest.raises(FormatError):
+            AutomatonDocument(1, ("a#b", "c"), (), (), (), ())
+        with pytest.raises(FormatError):
+            AutomatonDocument(1, ("a\x07b",), (), (), (), ())
 
     def test_unknown_references_rejected(self):
         with pytest.raises(FormatError):

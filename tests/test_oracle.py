@@ -4,8 +4,8 @@ from opacheck import (
     Run,
     Witness,
     build_observer,
+    check,
     check_all,
-    check_scso,
     enumerate_runs,
     project,
     replay_witness,
@@ -105,11 +105,11 @@ def test_reach_trajectory_matches_estimate_automaton():
 
 class TestReplayWitness:
     def test_accepts_genuine_witness(self, cso_not_scso):
-        witness = check_scso(cso_not_scso, witness=True).witness
+        witness = check(cso_not_scso, "SCSO", witness=True).witness
         assert replay_witness(cso_not_scso, witness, "SCSO") is True
 
     def test_rejects_corrupted_run(self, cso_not_scso):
-        witness = check_scso(cso_not_scso, witness=True).witness
+        witness = check(cso_not_scso, "SCSO", witness=True).witness
         broken = Witness(
             event_sequence=witness.event_sequence,
             observation=witness.observation,
@@ -120,7 +120,7 @@ class TestReplayWitness:
             replay_witness(cso_not_scso, broken, "SCSO")
 
     def test_rejects_mismatched_observation(self, cso_not_scso):
-        witness = check_scso(cso_not_scso, witness=True).witness
+        witness = check(cso_not_scso, "SCSO", witness=True).witness
         broken = Witness(
             event_sequence=witness.event_sequence,
             observation=("a",),
@@ -137,7 +137,7 @@ class TestReplayWitness:
         assert replay_witness(cso_not_scso, harmless, "SCSO") is False
 
     def test_unknown_property_rejected(self, cso_not_scso):
-        witness = check_scso(cso_not_scso, witness=True).witness
+        witness = check(cso_not_scso, "SCSO", witness=True).witness
         with pytest.raises(ValueError):
             replay_witness(cso_not_scso, witness, "K_STEP")
 
