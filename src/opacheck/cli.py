@@ -14,7 +14,6 @@ import warnings
 
 from . import generate
 from .fileformat import (
-    FormatError,
     cc_document,
     document_of,
     export_dot,
@@ -44,6 +43,20 @@ def _load_automaton(path):
     return aut
 
 
+def _write(payload: bytes, out) -> int:
+    """Write ``payload`` to the file ``out``, or to stdout when it is None."""
+    if out is None:
+        sys.stdout.write(payload.decode("utf-8"))
+        return 0
+    try:
+        with open(out, "wb") as handle:
+            handle.write(payload)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def _human_verdict(verdict) -> str:
     lines = [f"{verdict.property}: {'holds' if verdict.holds else 'FAILS'}"]
     if verdict.witness is not None:
@@ -66,7 +79,7 @@ def cmd_check(args) -> int:
     selected = [_PROPERTY_TOKENS[t] for t in _TOKEN_ORDER if t in tokens]
     try:
         aut = _load_automaton(args.file)
-    except (OSError, FormatError, ValidationError) as exc:
+    except (OSError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -83,7 +96,7 @@ def cmd_check(args) -> int:
 def cmd_export(args) -> int:
     try:
         aut = _load_automaton(args.file)
-    except (OSError, FormatError, ValidationError) as exc:
+    except (OSError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -103,12 +116,7 @@ def cmd_export(args) -> int:
             doc = cc_document(structure)
         payload = serialize(doc)
 
-    if args.out is None:
-        sys.stdout.write(payload.decode("utf-8"))
-    else:
-        with open(args.out, "wb") as handle:
-            handle.write(payload)
-    return 0
+    return _write(payload, args.out)
 
 
 def cmd_gen(args) -> int:
@@ -125,12 +133,7 @@ def cmd_gen(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = serialize(document_of(aut))
-    if args.out is None:
-        sys.stdout.write(payload.decode("utf-8"))
-    else:
-        with open(args.out, "wb") as handle:
-            handle.write(payload)
-    return 0
+    return _write(payload, args.out)
 
 
 def cmd_fuzz(args) -> int:
@@ -144,7 +147,6 @@ def cmd_fuzz(args) -> int:
     print(f"{'property':<10} {'holds':>8} {'fails':>8}")
     for prop in PROPERTIES:
         print(f"{prop:<10} {report.holds[prop]:>8} {report.fails[prop]:>8}")
-    print(f"inf-sso holds without siso: {report.inf_sso_without_siso}")
     problems = report.discrepancies + report.implication_violations + report.witness_failures
     print(f"discrepancies: {len(problems)}")
     for line in problems:

@@ -22,37 +22,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions import CCAutomaton, ObserverAutomaton, cc_label, pair_label, subset_label
-from .model import Automaton, Transition, validate
+from .model import Automaton, Transition, ValidationError, check_description, validate
 
 FORMAT_MAGIC = "opacity-nfa"
 FORMAT_VERSION = 1
 
 
-class FormatError(ValueError):
-    """A document is syntactically or structurally broken."""
-
-    def __init__(self, message: str, line: "int | None" = None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line is not None else message)
-
-
-def _check_name(name: str, kind: str, line: "int | None" = None) -> None:
-    # '#' would start a comment and non-printable characters can end a
-    # line, so either would make a serialized name parse differently.
-    if not name or "#" in name or not name.isprintable() or any(ch.isspace() for ch in name):
-        raise FormatError(
-            f"bad {kind} name {name!r}: must be nonempty and printable, without whitespace or '#'",
-            line,
-        )
+# Syntax and description errors are one type, which carries the line.
+FormatError = ValidationError
 
 
 @dataclass(frozen=True)
 class AutomatonDocument:
     """Structured form of an automaton file.
 
-    Construction canonicalizes (sorts) all lists and rejects duplicate
-    names, duplicate transitions and references to undeclared names, so
-    any two documents describing the same automaton compare equal.
+    Construction rejects what :func:`check_description` rejects (bad
+    names, repeated entries, undeclared references) and canonicalizes
+    (sorts) all lists, so any two documents describing the same
+    automaton compare equal.
     """
 
     format_version: int
@@ -65,42 +52,16 @@ class AutomatonDocument:
     def __post_init__(self):
         if self.format_version != FORMAT_VERSION:
             raise FormatError(f"unsupported format version {self.format_version}")
-        states = tuple(sorted(self.states))
-        events = tuple(sorted((str(n), bool(f)) for n, f in self.events))
-        transitions = tuple(sorted(tuple(t) for t in self.transitions))
-        initial = tuple(sorted(self.initial))
-        secret = tuple(sorted(self.secret))
-        for name in states:
-            _check_name(name, "state")
-        for name, _ in events:
-            _check_name(name, "event")
-        if len(set(states)) != len(states):
-            raise FormatError("duplicate state name")
-        event_names = [n for n, _ in events]
-        if len(set(event_names)) != len(event_names):
-            raise FormatError("duplicate event name")
-        if len(set(transitions)) != len(transitions):
-            raise FormatError("duplicate transition")
-        if len(set(initial)) != len(initial) or len(set(secret)) != len(secret):
-            raise FormatError("duplicate initial or secret entry")
-        declared = set(states)
-        declared_events = set(event_names)
-        for src, event, dst in transitions:
-            if src not in declared or dst not in declared:
-                raise FormatError(f"transition {src} {event} {dst} references an undeclared state")
-            if event not in declared_events:
-                raise FormatError(f"transition {src} {event} {dst} references an undeclared event")
-        for name in initial:
-            if name not in declared:
-                raise FormatError(f"initial state {name!r} is not declared")
-        for name in secret:
-            if name not in declared:
-                raise FormatError(f"secret state {name!r} is not declared")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "events", events)
-        object.__setattr__(self, "transitions", transitions)
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "secret", secret)
+        groups = {
+            "states": self.states,
+            "events": tuple((str(n), bool(f)) for n, f in self.events),
+            "transitions": tuple(tuple(t) for t in self.transitions),
+            "initial": self.initial,
+            "secret": self.secret,
+        }
+        check_description(*([(entry, None) for entry in group] for group in groups.values()))
+        for field, group in groups.items():
+            object.__setattr__(self, field, tuple(sorted(group)))
 
     def to_automaton(self) -> Automaton:
         """Validate and return the described automaton (may warn/raise)."""
@@ -114,17 +75,20 @@ class AutomatonDocument:
 
 
 def parse(data: "bytes | str") -> AutomatonDocument:
-    """Parse an automaton file; errors carry the offending line number."""
+    """Parse an automaton file; errors carry the offending line number.
+
+    A leading UTF-8 byte order mark is skipped.
+    """
     if isinstance(data, bytes):
         try:
-            text = data.decode("utf-8")
+            text = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise FormatError(f"not valid UTF-8: {exc}") from None
     else:
         text = data
 
     states: list[tuple[str, int]] = []
-    events: list[tuple[str, bool, int]] = []
+    events: list[tuple[tuple[str, bool], int]] = []
     transitions: list[tuple[Transition, int]] = []
     initial: list[tuple[str, int]] = []
     secret: list[tuple[str, int]] = []
@@ -154,7 +118,7 @@ def parse(data: "bytes | str") -> AutomatonDocument:
         elif directive == "event":
             if len(args) != 2 or args[1] not in ("obs", "unobs"):
                 raise FormatError("'event' takes a name and 'obs' or 'unobs'", lineno)
-            events.append((args[0], args[1] == "obs", lineno))
+            events.append(((args[0], args[1] == "obs"), lineno))
         elif directive == "init":
             if len(args) != 1:
                 raise FormatError("'init' takes exactly one state name", lineno)
@@ -173,46 +137,13 @@ def parse(data: "bytes | str") -> AutomatonDocument:
     if not header_seen:
         raise FormatError(f"missing header '{FORMAT_MAGIC} {FORMAT_VERSION}'")
 
-    # Re-run the document checks with line information available.
-    seen_states: set[str] = set()
-    for name, lineno in states:
-        _check_name(name, "state", lineno)
-        if name in seen_states:
-            raise FormatError(f"duplicate state {name!r}", lineno)
-        seen_states.add(name)
-    seen_events: set[str] = set()
-    for name, _, lineno in events:
-        _check_name(name, "event", lineno)
-        if name in seen_events:
-            raise FormatError(f"duplicate event {name!r}", lineno)
-        seen_events.add(name)
-    for (src, event, dst), lineno in transitions:
-        if src not in seen_states:
-            raise FormatError(f"unknown state {src!r}", lineno)
-        if dst not in seen_states:
-            raise FormatError(f"unknown state {dst!r}", lineno)
-        if event not in seen_events:
-            raise FormatError(f"unknown event {event!r}", lineno)
-    if len({t for t, _ in transitions}) != len(transitions):
-        dupes = [ln for i, (t, ln) in enumerate(transitions) if t in {u for u, _ in transitions[:i]}]
-        raise FormatError("duplicate transition", dupes[0])
-    for group, kind in ((initial, "init"), (secret, "secret")):
-        seen: set[str] = set()
-        for name, lineno in group:
-            if name not in seen_states:
-                raise FormatError(f"unknown state {name!r}", lineno)
-            if name in seen:
-                raise FormatError(f"duplicate {kind} entry {name!r}", lineno)
-            seen.add(name)
-
-    return AutomatonDocument(
-        format_version=FORMAT_VERSION,
-        states=tuple(n for n, _ in states),
-        events=tuple((n, f) for n, f, _ in events),
-        transitions=tuple(t for t, _ in transitions),
-        initial=tuple(n for n, _ in initial),
-        secret=tuple(n for n, _ in secret),
-    )
+    entries = (states, events, transitions, initial, secret)
+    try:
+        return AutomatonDocument(FORMAT_VERSION, *(tuple(e for e, _ in group) for group in entries))
+    except ValidationError:
+        # Only a broken file is checked twice: again, to find the line.
+        check_description(*entries)
+        raise
 
 
 def serialize(doc: AutomatonDocument) -> bytes:

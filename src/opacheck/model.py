@@ -17,7 +17,14 @@ Transition = tuple[str, str, str]
 
 
 class ValidationError(ValueError):
-    """An automaton description is inconsistent and cannot be used."""
+    """An automaton description is inconsistent and cannot be used.
+
+    ``line`` is the offending line of the file it came from, or None.
+    """
+
+    def __init__(self, message: str, line: "int | None" = None):
+        self.line = line
+        super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
 class AutomatonWarning(UserWarning):
@@ -162,6 +169,51 @@ class Run:
         return all(state not in aut.secret_states for state in self.visited)
 
 
+Entries = Sequence[tuple[object, "int | None"]]
+
+
+def check_description(
+    states: Entries, events: Entries, transitions: Entries, initial: Entries, secret: Entries
+) -> None:
+    """Apply the rules every automaton description must satisfy.
+
+    Each group holds (entry, line) pairs, where ``line`` is the entry's
+    line in a file or None; ``events`` entries are (name, observable)
+    pairs.  Names must be nonempty and printable, without whitespace or
+    ``#``, so that every name reads back from a file as itself.  No state,
+    event, transition, initial or secret entry may repeat, and every
+    referenced state and event must be declared.  The first broken rule
+    raises :class:`ValidationError` carrying the entry's line.
+    """
+    event_names = [(name, line) for (name, _), line in events]
+    for kind, group in (("state", states), ("event", event_names)):
+        for name, line in group:
+            # '#' would start a comment and a non-printable character can
+            # end a line.  Space is the only whitespace isprintable() allows.
+            if not name or not name.isprintable() or " " in name or "#" in name:
+                rule = "must be nonempty and printable, without whitespace or '#'"
+                raise ValidationError(f"bad {kind} name {name!r}: {rule}", line)
+    kinds = ("state", "event", "transition", "init entry", "secret entry")
+    for kind, group in zip(kinds, (states, event_names, transitions, initial, secret)):
+        if len(dict(group)) < len(group):  # an entry repeats; find the first
+            seen: set = set()
+            for entry, line in group:
+                if entry in seen:
+                    raise ValidationError(f"duplicate {kind} {entry!r}", line)
+                seen.add(entry)
+    declared = dict(states)
+    declared_events = dict(event_names)
+    for (src, event, dst), line in transitions:
+        if src not in declared or dst not in declared:
+            missing = src if src not in declared else dst
+            raise ValidationError(f"unknown state {missing!r}", line)
+        if event not in declared_events:
+            raise ValidationError(f"unknown event {event!r}", line)
+    for name, line in (*initial, *secret):
+        if name not in declared:
+            raise ValidationError(f"unknown state {name!r}", line)
+
+
 def validate(
     states: Iterable[str],
     events: Iterable[tuple[str, bool]],
@@ -177,62 +229,31 @@ def validate(
     automaton whose states are all secret is accepted with an
     :class:`AllStatesSecretWarning`.
 
-    Raises :class:`ValidationError` for duplicate names, references to
-    undeclared states or events, and (possibly after pruning) an empty
-    state set.
+    Raises :class:`ValidationError` for anything :func:`check_description`
+    rejects and for an empty state set (possibly after pruning).
     """
-    state_list = list(states)
-    declared: set[str] = set()
-    for name in state_list:
-        if name in declared:
-            raise ValidationError(f"duplicate state {name!r}")
-        declared.add(name)
-    if not declared:
-        raise ValidationError("empty state set")
+    groups = [list(group) for group in (states, events, transitions, initial_states, secret_states)]
+    check_description(*([(entry, None) for entry in group] for group in groups))
+    state_list, event_list, triples, initial, secret = groups
 
-    alphabet: dict[str, bool] = {}
-    for name, is_obs in events:
-        if name in alphabet:
-            raise ValidationError(f"duplicate event {name!r}")
-        alphabet[name] = bool(is_obs)
-
-    triples = list(transitions)
-    for src, event, dst in triples:
-        if src not in declared:
-            raise ValidationError(f"transition source {src!r} is not a declared state")
-        if dst not in declared:
-            raise ValidationError(f"transition target {dst!r} is not a declared state")
-        if event not in alphabet:
-            raise ValidationError(f"transition event {event!r} is not a declared event")
-
-    initial = set(initial_states)
-    for name in initial:
-        if name not in declared:
-            raise ValidationError(f"initial state {name!r} is not a declared state")
-    secret = set(secret_states)
-    for name in secret:
-        if name not in declared:
-            raise ValidationError(f"secret state {name!r} is not a declared state")
-
-    reachable = _reachable_from(initial, triples)
-    pruned = tuple(sorted(declared - reachable))
+    reachable = _reachable_from(set(initial), triples)
+    pruned = tuple(sorted(set(state_list) - reachable))
     if pruned:
         warnings.warn(PrunedStatesWarning(pruned), stacklevel=2)
+        # A transition out of a reachable state also ends in one.
+        triples = [t for t in triples if t[0] in reachable]
     if not reachable:
         raise ValidationError("empty state set: no state is reachable from the initial states")
-    if reachable <= secret:
+    if reachable <= set(secret):
         warnings.warn(AllStatesSecretWarning(), stacklevel=2)
 
-    kept_transitions = [
-        (src, event, dst) for (src, event, dst) in triples if src in reachable and dst in reachable
-    ]
     return Automaton.build(
         states=reachable,
-        events=alphabet,
-        observable={name for name, is_obs in alphabet.items() if is_obs},
-        transitions=kept_transitions,
+        events=(name for name, _ in event_list),
+        observable={name for name, is_obs in event_list if is_obs},
+        transitions=triples,
         initial_states=initial,
-        secret_states=secret & reachable,
+        secret_states=reachable.intersection(secret),
     )
 
 

@@ -168,6 +168,20 @@ class TestExport:
         assert first.read_bytes() == second.read_bytes()
         assert b'"(x4,{})"' in first.read_bytes()
 
+    def test_unwritable_out_is_an_input_error(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys,
+            "export",
+            str(fixture_path("scso_positive")),
+            "--structure",
+            "cc",
+            "--out",
+            str(tmp_path / "missing" / "cc.dot"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestGen:
     def test_same_seed_same_bytes(self, capsys):
@@ -193,12 +207,20 @@ class TestGen:
             aut = load(path).to_automaton()
             assert aut.states  # validation succeeded and kept everything
 
-    def test_bad_parameters_are_input_errors(self, capsys):
+    def test_bad_parameters_are_input_errors(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "gen", "--states", "0")
         assert code == 2
         assert "error:" in err
         code, _, err = run_cli(capsys, "gen", "--obs-ratio", "1.5")
         assert code == 2
+        for density in ("inf", "nan"):
+            code, _, err = run_cli(capsys, "gen", "--density", density)
+            assert code == 2
+            assert err == "error: density must be a finite number >= 0\n"
+        code, out, err = run_cli(capsys, "gen", "--out", str(tmp_path / "missing" / "g.aut"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestFuzz:

@@ -1,9 +1,11 @@
+import random
 import warnings
 
 import pytest
 
 from opacheck import (
     FormatError,
+    ValidationError,
     build_cc,
     build_gdss,
     build_ghat,
@@ -11,6 +13,7 @@ from opacheck import (
     export_dot,
     parse,
     serialize,
+    validate,
 )
 from opacheck.fileformat import (
     AutomatonDocument,
@@ -24,6 +27,37 @@ from conftest import FIXTURE_NAMES, assert_valid_dot, fixture_path
 
 
 MINIMAL = b"opacity-nfa 1\nstate q\ninit q\n"
+
+# Characters a name may be built from; all but the first four break the
+# name rule, each in a different way (whitespace, comment, control,
+# line separator, byte order mark).
+NAME_CHARS = ("a", "{", ",", "é", " ", "\t", "#", "\x07", "\u2028", "\ufeff")
+
+
+def hostile_description(rng):
+    """A raw description with short, often broken or repeated names and
+    at least one initial state."""
+
+    def name():
+        # Mostly legal and nonempty, so that enough documents are accepted.
+        length = 0 if rng.random() < 0.05 else rng.randint(1, 4)
+        return "".join(
+            rng.choice(NAME_CHARS[:4] if rng.random() < 0.95 else NAME_CHARS)
+            for _ in range(length)
+        )
+
+    states = [name() for _ in range(rng.randint(1, 4))]
+    events = [(name(), rng.random() < 0.5) for _ in range(rng.randint(0, 3))]
+    event_names = [e for e, _ in events] or [name()]
+    transitions = [
+        (rng.choice(states), rng.choice(event_names), rng.choice(states))
+        for _ in range(rng.randint(0, 4))
+    ]
+    if rng.random() < 0.1:
+        transitions.append((name(), rng.choice(event_names), rng.choice(states)))
+    initial = [rng.choice(states) for _ in range(rng.randint(1, 2))]
+    secret = [rng.choice(states) for _ in range(rng.randint(0, 2))]
+    return states, events, transitions, initial, secret
 
 
 class TestParse:
@@ -78,6 +112,9 @@ state q
             parse(text)
         assert fragment in str(info.value)
         assert info.value.line == line
+
+    def test_leading_byte_order_mark_is_skipped(self):
+        assert parse(b"\xef\xbb\xbf" + MINIMAL) == parse(MINIMAL)
 
     def test_rejects_non_utf8(self):
         with pytest.raises(FormatError):
@@ -136,6 +173,29 @@ class TestSerialize:
         for index in range(200):
             doc = document_of(fuzz_automaton(base_seed=11, index=index))
             assert parse(serialize(doc)) == doc
+
+    def test_hostile_names_round_trip_and_share_rules_with_validate(self):
+        rng = random.Random(2024)
+        accepted = 0
+        for _ in range(2000):
+            states, events, transitions, initial, secret = hostile_description(rng)
+            try:
+                doc = AutomatonDocument(1, states, events, transitions, initial, secret)
+            except ValidationError as exc:
+                doc_error = str(exc)
+            else:
+                doc_error = None
+                accepted += 1
+                assert parse(serialize(doc)) == doc
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # pruned or all-secret
+                    validate(states, events, transitions, initial, secret)
+            except ValidationError as exc:
+                assert str(exc) == doc_error
+            else:
+                assert doc_error is None
+        assert 200 <= accepted <= 1800  # both outcomes are well exercised
 
     def test_serialized_automaton_revalidates(self):
         for index in range(50):

@@ -89,6 +89,16 @@ class TestValidate:
             dict(states=["a"], events=[], transitions=[], initial_states=["b"]),
             dict(states=["a"], events=[], transitions=[], initial_states=["a"], secret_states=["b"]),
             dict(states=["a", "b"], events=[], transitions=[], initial_states=[]),
+            # What a file rejects, validate rejects too.
+            dict(
+                states=["a"],
+                events=[("e", True)],
+                transitions=[("a", "e", "a"), ("a", "e", "a")],
+                initial_states=["a"],
+            ),
+            dict(states=["a"], events=[], transitions=[], initial_states=["a", "a"]),
+            dict(states=["a b"], events=[], transitions=[], initial_states=["a b"]),
+            dict(states=["a#b"], events=[], transitions=[], initial_states=["a#b"]),
         ],
     )
     def test_rejections(self, kwargs):
