@@ -17,7 +17,11 @@ Four constructions are provided:
   empty estimate is absorbing.
 
 All outputs are immutable, contain only the part reachable from their
-initial states, and order their components lexicographically.
+initial states, and order their components lexicographically.  The
+observer and the product keep the breadth-first tree of their
+construction as ``parents``: in discovery order, each state maps to the
+(state, label) it was first reached from, each initial state to None.
+A shortest path to any state is read off that tree.
 """
 
 from __future__ import annotations
@@ -64,17 +68,6 @@ def pair_label(pair: EventPair) -> str:
 def _subset_key(subset: frozenset[str]) -> tuple[str, ...]:
     return tuple(sorted(subset))
 
-def _right_key(right: "frozenset[str] | None") -> tuple[str, ...]:
-    # The empty string never names a state, so ("",) is a safe slot for
-    # the empty estimate in sort keys.
-    return ("",) if right is None else tuple(sorted(right))
-
-def _cc_key(state: CCState) -> tuple:
-    return (state.left, _right_key(state.right))
-
-def _pair_key(pair: EventPair) -> tuple[str, str]:
-    return (pair[0], pair[1] if pair[1] is not None else "")
-
 
 @dataclass(frozen=True)
 class ObserverAutomaton:
@@ -83,13 +76,14 @@ class ObserverAutomaton:
     ``initial`` is None when even the empty observation has no
     explanation (no initial state to close over).  ``transitions`` maps
     (subset, event) to the successor subset and is only defined where
-    that successor is nonempty.
+    that successor is nonempty.  ``parents`` is the construction's breadth-first tree.
     """
 
     alphabet: tuple[str, ...]
     initial: "frozenset[str] | None"
     states: tuple[frozenset[str], ...]
     transitions: dict[tuple[frozenset[str], str], frozenset[str]]
+    parents: dict[frozenset[str], "tuple[frozenset[str], str] | None"]
 
     def step(self, subset: frozenset[str], event: str) -> "frozenset[str] | None":
         """Successor subset, or None where the observer is undefined."""
@@ -98,26 +92,27 @@ class ObserverAutomaton:
 
 @dataclass(frozen=True)
 class CCAutomaton:
-    """Synchronized product of a left automaton with an observer."""
+    """Synchronized product of a left automaton with an observer.
+
+    ``arcs`` maps each state to its sorted (event pair, target) arcs;
+    ``parents`` is the construction's breadth-first tree.
+    """
 
     event_pairs: tuple[EventPair, ...]
     states: tuple[CCState, ...]
-    transitions: tuple[tuple[CCState, EventPair, CCState], ...]
+    arcs: dict[CCState, tuple[tuple[EventPair, CCState], ...]]
     initial_states: tuple[CCState, ...]
     left_secret: frozenset[str]
+    parents: dict[CCState, "tuple[CCState, EventPair] | None"]
 
     @cached_property
-    def _out(self) -> dict[CCState, tuple[tuple[EventPair, CCState], ...]]:
-        by_src: dict[CCState, list[tuple[EventPair, CCState]]] = {s: [] for s in self.states}
-        for src, pair, dst in self.transitions:
-            by_src[src].append((pair, dst))
-        return {
-            s: tuple(sorted(arcs, key=lambda arc: (_pair_key(arc[0]), _cc_key(arc[1]))))
-            for s, arcs in by_src.items()
-        }
+    def transitions(self) -> tuple[tuple[CCState, EventPair, CCState], ...]:
+        """All (source, event pair, target) triples, sorted."""
+        # From a list: tuple() of a generator resizes as it grows, fragmenting the heap.
+        return tuple([(src, pair, dst) for src in self.states for pair, dst in self.arcs[src]])
 
     def outgoing(self, state: CCState) -> tuple[tuple[EventPair, CCState], ...]:
-        return self._out.get(state, ())
+        return self.arcs.get(state, ())
 
     def is_left_secret(self, state: CCState) -> bool:
         return state.left in self.left_secret
@@ -191,13 +186,10 @@ def build_observer(src: Automaton) -> ObserverAutomaton:
     image is empty.  Only subsets reachable from the initial one are kept.
     """
     alphabet = tuple(sorted(src.observable))
-    initial = unobservable_reach(src, src.initial_states)
-    if not initial:
-        return ObserverAutomaton(alphabet=alphabet, initial=None, states=(), transitions={})
-
+    initial = unobservable_reach(src, src.initial_states) or None
     transitions: dict[tuple[frozenset[str], str], frozenset[str]] = {}
-    seen = {initial}
-    queue = deque([initial])
+    parents: dict = {} if initial is None else {initial: None}
+    queue = deque(parents)
     while queue:
         subset = queue.popleft()
         for event in alphabet:
@@ -208,14 +200,15 @@ def build_observer(src: Automaton) -> ObserverAutomaton:
                 continue
             successor = unobservable_reach(src, image)
             transitions[(subset, event)] = successor
-            if successor not in seen:
-                seen.add(successor)
+            if successor not in parents:
+                parents[successor] = (subset, event)
                 queue.append(successor)
     return ObserverAutomaton(
         alphabet=alphabet,
         initial=initial,
-        states=tuple(sorted(seen, key=_subset_key)),
+        states=tuple(sorted(parents, key=_subset_key)),
         transitions=transitions,
+        parents=parents,
     )
 
 
@@ -229,11 +222,14 @@ def build_cc(left: Automaton, obs: ObserverAutomaton) -> CCAutomaton:
     estimate is absorbing.  Only reachable product states are kept.
     """
     initial = tuple(CCState(state, obs.initial) for state in sorted(left.initial_states))
-    seen = set(initial)
+    parents: dict[CCState, "tuple[CCState, EventPair] | None"] = dict.fromkeys(initial)
+    arcs: dict[CCState, tuple[tuple[EventPair, CCState], ...]] = {}
     queue = deque(initial)
-    transitions: set[tuple[CCState, EventPair, CCState]] = set()
     while queue:
         src = queue.popleft()
+        # left.outgoing is sorted by (event, target) and the event fixes
+        # both the pair and the estimate, so the arcs come out sorted.
+        out = []
         for event, target in left.outgoing(src.left):
             if event in left.observable:
                 pair: EventPair = (event, event)
@@ -242,19 +238,21 @@ def build_cc(left: Automaton, obs: ObserverAutomaton) -> CCAutomaton:
                 pair = (event, None)
                 right = src.right
             dst = CCState(target, right)
-            transitions.add((src, pair, dst))
-            if dst not in seen:
-                seen.add(dst)
+            out.append((pair, dst))
+            if dst not in parents:
+                parents[dst] = (src, pair)
                 queue.append(dst)
+        arcs[src] = tuple(out)
+    # obs.states is sorted, so its order ranks the estimates; None goes first.
+    rank = {subset: index for index, subset in enumerate((None, *obs.states))}
     pairs = tuple(
         (event, event if event in left.observable else None) for event in left.events
     )
     return CCAutomaton(
         event_pairs=pairs,
-        states=tuple(sorted(seen, key=_cc_key)),
-        transitions=tuple(
-            sorted(transitions, key=lambda tr: (_cc_key(tr[0]), _pair_key(tr[1]), _cc_key(tr[2])))
-        ),
+        states=tuple(sorted(parents, key=lambda s: (s.left, rank[s.right]))),
+        arcs=arcs,
         initial_states=initial,
         left_secret=left.secret_states,
+        parents=parents,
     )

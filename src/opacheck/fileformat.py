@@ -81,11 +81,10 @@ def parse(data: "bytes | str") -> AutomatonDocument:
     """
     if isinstance(data, bytes):
         try:
-            text = data.decode("utf-8-sig")
+            data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"not valid UTF-8: {exc}") from None
-    else:
-        text = data
+    text = data.removeprefix("\ufeff")
 
     states: list[tuple[str, int]] = []
     events: list[tuple[tuple[str, bool], int]] = []

@@ -53,6 +53,8 @@ class Automaton:
     ``observable`` is the subset of ``events`` an external observer can
     see; the remaining events are silent.  ``secret_states`` marks the
     states whose visits the system wants to keep deniable.
+    ``transitions`` is sorted and free of repeats (:meth:`build` makes it
+    so); the indexes below keep that order instead of sorting again.
     """
 
     states: tuple[str, ...]
@@ -107,14 +109,14 @@ class Automaton:
         by_src: dict[str, list[tuple[str, str]]] = {x: [] for x in self.states}
         for src, event, dst in self.transitions:
             by_src[src].append((event, dst))
-        return {x: tuple(sorted(pairs)) for x, pairs in by_src.items()}
+        return {x: tuple(pairs) for x, pairs in by_src.items()}
 
     @cached_property
     def _succ(self) -> dict[tuple[str, str], tuple[str, ...]]:
         by_key: dict[tuple[str, str], list[str]] = {}
         for src, event, dst in self.transitions:
             by_key.setdefault((src, event), []).append(dst)
-        return {key: tuple(sorted(dsts)) for key, dsts in by_key.items()}
+        return {key: tuple(dsts) for key, dsts in by_key.items()}
 
     @cached_property
     def _silent_succ(self) -> dict[str, tuple[str, ...]]:
@@ -179,8 +181,8 @@ def check_description(
 
     Each group holds (entry, line) pairs, where ``line`` is the entry's
     line in a file or None; ``events`` entries are (name, observable)
-    pairs.  Names must be nonempty and printable, without whitespace or
-    ``#``, so that every name reads back from a file as itself.  No state,
+    pairs.  Names must be nonempty printable strings, without whitespace
+    or ``#``, so that every name reads back from a file as itself.  No state,
     event, transition, initial or secret entry may repeat, and every
     referenced state and event must be declared.  The first broken rule
     raises :class:`ValidationError` carrying the entry's line.
@@ -190,7 +192,8 @@ def check_description(
         for name, line in group:
             # '#' would start a comment and a non-printable character can
             # end a line.  Space is the only whitespace isprintable() allows.
-            if not name or not name.isprintable() or " " in name or "#" in name:
+            printable = isinstance(name, str) and name.isprintable()
+            if not printable or not name or " " in name or "#" in name:
                 rule = "must be nonempty and printable, without whitespace or '#'"
                 raise ValidationError(f"bad {kind} name {name!r}: {rule}", line)
     kinds = ("state", "event", "transition", "init entry", "secret entry")

@@ -11,7 +11,9 @@ automaton of the full system, where bad means an estimate inside the
 secret set; standard initial-state opacity on the product of the
 secret-start part with the observer of the system restarted at its
 non-secret initial states.  :class:`Structures` builds each structure on
-first use, so properties decided together share it.
+first use, so properties decided together share it.  Each keeps the
+tree of its breadth-first search: the first bad state in discovery
+order decides the verdict, and its tree path is a shortest witness.
 """
 
 from __future__ import annotations
@@ -175,15 +177,14 @@ def _decide(structures: Structures, prop: str, witness: bool) -> Verdict:
         stats[f"{_STATS_PREFIX[name]}_states"] = len(structure.states)
         stats[f"{_STATS_PREFIX[name]}_transitions"] = len(structure.transitions)
     structure = getattr(structures, decided_on)
-    is_bad = partial(bad, structures.g)
-    holds = not any(map(is_bad, structure.states))
+    offending = next(filter(partial(bad, structures.g), structure.parents), None)
     found = None
-    if witness and not holds:
+    if witness and offending is not None:
         if isinstance(structure, CCAutomaton):
-            found = extract_witness(structure, is_bad)
+            found = extract_witness(structure, offending)
         else:
-            found = _estimate_witness(structures.g, structure, is_bad)
-    return Verdict(prop, holds, found, stats)
+            found = _estimate_witness(structures.g, structure, offending)
+    return Verdict(prop, offending is None, found, stats)
 
 
 def check_all(
@@ -201,69 +202,38 @@ def check(g: Automaton, prop: str, witness: bool = False) -> Verdict:
     return check_all(g, witness, (prop,))[prop]
 
 
-def _shortest_path(
-    starts: Iterable[Hashable],
-    step: Callable[[Any], Iterable[tuple[Any, Hashable]]],
-    goal: Callable[[Any], bool],
-) -> "list[tuple[Any, Any]] | None":
-    """Shortest path from one of ``starts`` to a node satisfying ``goal``.
-
-    Breadth-first; ``step(node)`` yields (label, successor) pairs, and
-    starts and successors are tried in the order given, so the result is
-    reproducible.  The path is a list of (label, node) pairs whose first
-    label is None; it is None when no reachable node satisfies ``goal``.
-    """
-    parents: dict = dict.fromkeys(starts)  # node -> (parent, label); None for starts
-    queue = deque(parents)
-    found = next(filter(goal, parents), None)
-    while found is None and queue:
-        here = queue.popleft()
-        for label, node in step(here):
-            if node not in parents:
-                parents[node] = (here, label)
-                queue.append(node)
-                if goal(node):
-                    found = node
-                    break
-    if found is None:
-        return None
-    path = []
-    while parents[found] is not None:
-        prev, label = parents[found]
-        path.append((label, found))
-        found = prev
-    path.append((None, found))
-    return path[::-1]
+def _tree_path(parents: Mapping, node: Hashable) -> tuple[Any, list[tuple[Any, Any]]]:
+    """The root above ``node`` in a breadth-first tree and the (label,
+    node) steps from that root down to ``node``; ``parents`` maps each
+    node to its (parent, label), and each root to None."""
+    steps = []
+    while parents[node] is not None:
+        parent, label = parents[node]
+        steps.append((label, node))
+        node = parent
+    return node, steps[::-1]
 
 
-def extract_witness(cc: CCAutomaton, bad: Callable[[CCState], bool]) -> Witness:
-    """Shortest product path to a state satisfying ``bad``, which the
-    caller guarantees is reachable; ties are broken by event-pair order."""
-    path = _shortest_path(cc.initial_states, cc.outgoing, bad)
-    steps = path[1:]
+def extract_witness(cc: CCAutomaton, offending: CCState) -> Witness:
+    """The path to ``offending`` in the product's breadth-first tree: a
+    shortest product path, ties broken by event-pair order."""
+    start, steps = _tree_path(cc.parents, offending)
     events = tuple(pair[0] for pair, _ in steps)
     observation = tuple(pair[1] for pair, _ in steps if pair[1] is not None)
-    run = Run(path[0][1].left, tuple((pair[0], dst.left) for pair, dst in steps))
-    return Witness(events, observation, path[-1][1], run)
+    run = Run(start.left, tuple((pair[0], dst.left) for pair, dst in steps))
+    return Witness(events, observation, offending, run)
 
 
 def _estimate_witness(
-    g: Automaton, estimates: ObserverAutomaton, bad: Callable[[frozenset[str]], bool]
+    g: Automaton, estimates: ObserverAutomaton, offending: frozenset[str]
 ) -> Witness:
-    """Witness for a current-state estimate violation: the shortest
-    observation leading to a bad estimate, plus a shortest run realizing
-    that observation."""
-
-    def step(subset: frozenset[str]):
-        for event in estimates.alphabet:
-            successor = estimates.step(subset, event)
-            if successor is not None:
-                yield event, successor
-
-    path = _shortest_path((estimates.initial,), step, bad)
-    observation = tuple(event for event, _ in path[1:])
+    """Witness for a current-state estimate violation: the observation
+    on the tree path to the estimate ``offending`` (a shortest one), plus
+    a shortest run realizing that observation."""
+    _, steps = _tree_path(estimates.parents, offending)
+    observation = tuple(event for event, _ in steps)
     run = _realize_observation(g, observation)
-    return Witness(run.events, observation, path[-1][1], run)
+    return Witness(run.events, observation, offending, run)
 
 
 def _realize_observation(g: Automaton, observation: tuple[str, ...]) -> Run:
@@ -273,17 +243,22 @@ def _realize_observation(g: Automaton, observation: tuple[str, ...]) -> Run:
     transitions keep the prefix length, matching observable transitions
     advance it."""
     target = len(observation)
-
-    def step(node: tuple[str, int]):
+    parents: dict = dict.fromkeys((state, 0) for state in sorted(g.initial_states))
+    queue = deque(parents)
+    while queue:
+        node = queue.popleft()
         state, consumed = node
+        if consumed == target:
+            start, steps = _tree_path(parents, node)
+            return Run(start[0], tuple((event, dst) for event, (dst, _) in steps))
         for event, dst in g.outgoing(state):
             if event not in g.observable:
-                yield event, (dst, consumed)
-            elif consumed < target and event == observation[consumed]:
-                yield event, (dst, consumed + 1)
-
-    starts = [(state, 0) for state in sorted(g.initial_states)]
-    path = _shortest_path(starts, step, lambda node: node[1] == target)
-    if path is None:
-        raise ValueError("observation is not realizable")
-    return Run(path[0][1][0], tuple((event, node[0]) for event, node in path[1:]))
+                successor = (dst, consumed)
+            elif event == observation[consumed]:
+                successor = (dst, consumed + 1)
+            else:
+                continue
+            if successor not in parents:
+                parents[successor] = (node, event)
+                queue.append(successor)
+    raise ValueError("observation is not realizable")

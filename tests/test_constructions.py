@@ -334,3 +334,60 @@ class TestBuildCc:
         cc = build_cc(aut, obs)
         assert cc.initial_states == (CCState("p", None),)
         assert set(cc.states) == {CCState("p", None), CCState("q", None)}
+
+    def test_order_is_by_labels(self):
+        # States sort by left state, then by the sorted names of the
+        # estimate (the empty estimate first); arcs by pair, then target.
+        def key(state):
+            return (state.left, ("",) if state.right is None else tuple(sorted(state.right)))
+
+        for aut in random_instances(40):
+            obs = build_observer(build_gdss(aut))
+            for left in (aut, build_ghat(aut)):
+                cc = build_cc(left, obs)
+                assert list(cc.states) == sorted(cc.states, key=key)
+                expected = sorted(
+                    set(cc.transitions),
+                    key=lambda t: (key(t[0]), t[1][0], t[1][1] or "", key(t[2])),
+                )
+                assert list(cc.transitions) == expected
+
+
+class TestBreadthFirstTree:
+    # The observer and the product keep the tree of their own
+    # breadth-first search: one link per state, along an arc, from the
+    # initial states, in discovery (so never decreasing depth) order.
+    @staticmethod
+    def check_tree(parents, states, roots, is_arc):
+        assert set(parents) == set(states)
+        assert [node for node, link in parents.items() if link is None] == list(roots)
+        depth = {}
+        for node, link in parents.items():
+            if link is None:
+                depth[node] = 0
+            else:
+                parent, label = link
+                assert is_arc(parent, label, node)
+                depth[node] = depth[parent] + 1
+        assert list(depth.values()) == sorted(depth.values())
+
+    def test_observer_tree(self):
+        for aut in random_instances(40):
+            for source in (aut, build_gdss(aut)):
+                obs = build_observer(source)
+                roots = () if obs.initial is None else (obs.initial,)
+                self.check_tree(
+                    obs.parents, obs.states, roots, lambda q, e, q2: obs.step(q, e) == q2
+                )
+
+    def test_product_tree(self):
+        for aut in random_instances(40):
+            obs = build_observer(build_gdss(aut))
+            for left in (aut, build_ghat(aut)):
+                cc = build_cc(left, obs)
+                self.check_tree(
+                    cc.parents,
+                    cc.states,
+                    cc.initial_states,
+                    lambda src, pair, dst: (src, pair, dst) in cc.transitions,
+                )

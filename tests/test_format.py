@@ -115,6 +115,7 @@ state q
 
     def test_leading_byte_order_mark_is_skipped(self):
         assert parse(b"\xef\xbb\xbf" + MINIMAL) == parse(MINIMAL)
+        assert parse("\ufeff" + MINIMAL.decode()) == parse(MINIMAL)
 
     def test_rejects_non_utf8(self):
         with pytest.raises(FormatError):

@@ -99,6 +99,9 @@ class TestValidate:
             dict(states=["a"], events=[], transitions=[], initial_states=["a", "a"]),
             dict(states=["a b"], events=[], transitions=[], initial_states=["a b"]),
             dict(states=["a#b"], events=[], transitions=[], initial_states=["a#b"]),
+            # Names that are not strings break the name rule.
+            dict(states=[1], events=[], transitions=[], initial_states=[1]),
+            dict(states=["a"], events=[(2, True)], transitions=[], initial_states=["a"]),
         ],
     )
     def test_rejections(self, kwargs):

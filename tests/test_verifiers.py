@@ -14,6 +14,7 @@ from opacheck import (
     project,
     replay_witness,
     validate,
+    Witness,
 )
 from opacheck.constructions import CCState
 from opacheck.generate import IMPLICATIONS, fuzz_instances
@@ -75,6 +76,18 @@ def test_siso_witness_details(siso_neg):
         observation = project(siso_neg, run.events)
         _, safe, _ = _fold_estimates(siso_neg, observation)
         assert safe, run
+
+
+def test_product_witnesses_are_shortest():
+    # No run shorter than a witness read off a product violates the
+    # property (CSO witnesses are shortest in observations, not events).
+    for label, aut in fuzz_instances(300, 5, seed=515):
+        for prop, verdict in check_all(aut, witness=True).items():
+            if prop == "CSO" or verdict.holds or not verdict.witness.event_sequence:
+                continue
+            for run in enumerate_runs(aut, len(verdict.witness.event_sequence) - 1):
+                shorter = Witness(run.events, project(aut, run.events), None, run)
+                assert not replay_witness(aut, shorter, prop), (label, prop, run)
 
 
 def test_siso_leak_set_is_exact(siso_neg):
