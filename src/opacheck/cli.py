@@ -13,14 +13,7 @@ import sys
 import warnings
 
 from . import generate
-from .fileformat import (
-    cc_document,
-    document_of,
-    export_dot,
-    load,
-    observer_document,
-    serialize,
-)
+from .fileformat import document_of, export_dot, load, serialize
 from .model import AutomatonWarning, ValidationError
 from .verifiers import PROPERTIES, Structures, check_all, verdict_record
 
@@ -96,26 +89,16 @@ def cmd_check(args) -> int:
 def cmd_export(args) -> int:
     try:
         aut = _load_automaton(args.file)
+        structure = getattr(Structures(aut), args.structure.replace("-", "_"))
+        if not structure.states:
+            print(f"warning: {args.structure} is empty for this input", file=sys.stderr)
+        if args.format == "dot":
+            payload = export_dot(structure).encode("utf-8")
+        else:
+            payload = serialize(document_of(structure))
     except (OSError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    structure = getattr(Structures(aut), args.structure.replace("-", "_"))
-
-    if not getattr(structure, "states", ()):
-        print(f"warning: {args.structure} is empty for this input", file=sys.stderr)
-
-    if args.format == "dot":
-        payload = export_dot(structure).encode("utf-8")
-    else:
-        if args.structure in ("gdss", "ghat"):
-            doc = document_of(structure)
-        elif args.structure == "observer":
-            doc = observer_document(structure)
-        else:
-            doc = cc_document(structure)
-        payload = serialize(doc)
-
     return _write(payload, args.out)
 
 

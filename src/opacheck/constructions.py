@@ -114,19 +114,6 @@ class CCAutomaton:
     def outgoing(self, state: CCState) -> tuple[tuple[EventPair, CCState], ...]:
         return self.arcs.get(state, ())
 
-    def is_left_secret(self, state: CCState) -> bool:
-        return state.left in self.left_secret
-
-    @property
-    def empty_right_states(self) -> tuple[CCState, ...]:
-        """Product states whose estimate has collapsed to empty."""
-        return tuple(s for s in self.states if s.right is None)
-
-    @property
-    def leaking_secret_states(self) -> tuple[CCState, ...]:
-        """Empty-estimate states whose left component is secret."""
-        return tuple(s for s in self.empty_right_states if self.is_left_secret(s))
-
 
 def _restrict(
     g: Automaton, initial: frozenset[str], allowed: frozenset[str], secret: frozenset[str]

@@ -1,4 +1,4 @@
-"""Text format for automata, plus DOT export of all structures.
+"""Text format for automata, plus export of all structures.
 
 The on-disk format is line oriented, one directive per line::
 
@@ -15,11 +15,17 @@ any order, but the canonical serialization is fixed: header, then the
 states, events, initial states, secret states and transitions, each
 group sorted.  Canonical ordering is part of the format so that diffs
 between files are meaningful.
+
+:func:`document_of` and :func:`export_dot` render an automaton, an
+observer or a product from one labelled view: subsets are named
+``{x1,x5}`` (the empty estimate ``{}``), product states ``(x4,{x1,x5})``,
+event pairs ``(a,a)`` or ``(u,eps)``; two equal names are a ValidationError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constructions import CCAutomaton, ObserverAutomaton, cc_label, pair_label, subset_label
 from .model import Automaton, Transition, ValidationError, check_description, validate
@@ -162,46 +168,69 @@ def load(path) -> AutomatonDocument:
         return parse(handle.read())
 
 
-def document_of(aut: Automaton) -> AutomatonDocument:
-    """Document form of an automaton value."""
+class _Graph(NamedTuple):
+    """A structure as a labelled graph, in the structure's own order
+    (observer edges sorted by label)."""
+
+    name: str
+    nodes: list[tuple[str, bool]]  # (label, is_secret)
+    initial: list[str]
+    events: list[tuple[str, bool]]  # (label, is_observable)
+    edges: list[tuple[str, str, str]]  # (source, label, target)
+
+
+def _graph(structure: "Automaton | ObserverAutomaton | CCAutomaton") -> _Graph:
+    """Label the states and events of ``structure``; raises ValidationError
+    when two of them get the same label."""
+    if isinstance(structure, Automaton):
+        graph = _Graph(
+            "automaton",
+            [(s, s in structure.secret_states) for s in structure.states],
+            sorted(structure.initial_states),
+            [(e, e in structure.observable) for e in structure.events],
+            list(structure.transitions),
+        )
+    elif isinstance(structure, ObserverAutomaton):
+        label = {q: subset_label(q) for q in structure.states}
+        graph = _Graph(
+            "observer",
+            [(label[q], False) for q in structure.states],
+            [] if structure.initial is None else [label[structure.initial]],
+            [(e, True) for e in structure.alphabet],
+            sorted((label[q], e, label[t]) for (q, e), t in structure.transitions.items()),
+        )
+    elif isinstance(structure, CCAutomaton):
+        label = {s: cc_label(s) for s in structure.states}
+        pair = {p: pair_label(p) for p in structure.event_pairs}
+        graph = _Graph(
+            "product",
+            [(label[s], s.left in structure.left_secret) for s in structure.states],
+            [label[s] for s in structure.initial_states],
+            [(pair[p], p[1] is not None) for p in structure.event_pairs],
+            [(label[s], pair[p], label[t]) for s in structure.states for p, t in structure.arcs[s]],
+        )
+    else:
+        raise TypeError(f"cannot export {type(structure).__name__}")
+    for kind, named in (("state", graph.nodes), ("event", graph.events)):
+        seen: set[str] = set()
+        for name, _ in named:
+            if name in seen:
+                raise ValidationError(f"two {kind}s are both named {name!r}")
+            seen.add(name)
+    return graph
+
+
+def document_of(structure: "Automaton | ObserverAutomaton | CCAutomaton") -> AutomatonDocument:
+    """Document form of any structure; secret product states are those
+    with a secret left component."""
+    graph = _graph(structure)
     return AutomatonDocument(
         format_version=FORMAT_VERSION,
-        states=aut.states,
-        events=tuple((e, e in aut.observable) for e in aut.events),
-        transitions=aut.transitions,
-        initial=tuple(sorted(aut.initial_states)),
-        secret=tuple(sorted(aut.secret_states)),
-    )
-
-
-def observer_document(obs: ObserverAutomaton) -> AutomatonDocument:
-    """Flatten an observer to the automaton format; subset states become
-    ``{x1,x5}``-style names."""
-    return AutomatonDocument(
-        format_version=FORMAT_VERSION,
-        states=tuple(subset_label(q) for q in obs.states),
-        events=tuple((e, True) for e in obs.alphabet),
-        transitions=tuple(
-            (subset_label(q), event, subset_label(q2))
-            for (q, event), q2 in obs.transitions.items()
-        ),
-        initial=() if obs.initial is None else (subset_label(obs.initial),),
-        secret=(),
-    )
-
-
-def cc_document(cc: CCAutomaton) -> AutomatonDocument:
-    """Flatten a product to the automaton format; event pairs become
-    ``(a,a)``-style names, tagged observable when both sides move."""
-    return AutomatonDocument(
-        format_version=FORMAT_VERSION,
-        states=tuple(cc_label(s) for s in cc.states),
-        events=tuple((pair_label(p), p[1] is not None) for p in cc.event_pairs),
-        transitions=tuple(
-            (cc_label(src), pair_label(pair), cc_label(dst)) for src, pair, dst in cc.transitions
-        ),
-        initial=tuple(sorted(cc_label(s) for s in cc.initial_states)),
-        secret=tuple(sorted(cc_label(s) for s in cc.states if cc.is_left_secret(s))),
+        states=tuple(label for label, _ in graph.nodes),
+        events=tuple(graph.events),
+        transitions=tuple(graph.edges),
+        initial=tuple(graph.initial),
+        secret=tuple(label for label, is_secret in graph.nodes if is_secret),
     )
 
 
@@ -209,68 +238,29 @@ def _quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _dot_lines(
-    name: str,
-    nodes: list[tuple[str, bool]],
-    initial: list[str],
-    edges: list[tuple[str, str, str, bool]],
-) -> str:
-    """Assemble a digraph; nodes are (label, is_secret), edges are
-    (src, label, dst, is_observable)."""
-    out = [f"digraph {name} {{", "  rankdir=LR;", '  node [shape=circle];']
-    for index, label in enumerate(initial):
-        marker = f"__start_{index}"
-        out.append(f"  {_quote(marker)} [shape=point, label=\"\"];")
-        out.append(f"  {_quote(marker)} -> {_quote(label)};")
-    for label, is_secret in nodes:
-        attrs = [f"label={_quote(label)}"]
-        if is_secret:
-            attrs.append("style=filled")
-            attrs.append("fillcolor=lightgray")
-        out.append(f"  {_quote(label)} [{', '.join(attrs)}];")
-    for src, label, dst, observable in edges:
-        attrs = [f"label={_quote(label)}"]
-        if not observable:
-            attrs.append("style=dashed")
-        out.append(f"  {_quote(src)} -> {_quote(dst)} [{', '.join(attrs)}];")
-    out.append("}")
-    return "\n".join(out) + "\n"
-
-
 def export_dot(structure: "Automaton | ObserverAutomaton | CCAutomaton") -> str:
     """Render any of the structures as a deterministic DOT digraph.
 
     Secret states (or product states with a secret left component) are
     filled, initial states get an entry arrow, silent transitions are
-    dashed, subset states are labelled ``{x1,x5}`` and the empty estimate
-    ``{}``.
+    dashed.
     """
-    if isinstance(structure, Automaton):
-        return _dot_lines(
-            "automaton",
-            [(s, s in structure.secret_states) for s in structure.states],
-            sorted(structure.initial_states),
-            [(s, e, t, e in structure.observable) for s, e, t in structure.transitions],
-        )
-    if isinstance(structure, ObserverAutomaton):
-        edges = sorted(
-            (subset_label(q), event, subset_label(q2), True)
-            for (q, event), q2 in structure.transitions.items()
-        )
-        return _dot_lines(
-            "observer",
-            [(subset_label(q), False) for q in structure.states],
-            [] if structure.initial is None else [subset_label(structure.initial)],
-            edges,
-        )
-    if isinstance(structure, CCAutomaton):
-        return _dot_lines(
-            "product",
-            [(cc_label(s), structure.is_left_secret(s)) for s in structure.states],
-            [cc_label(s) for s in structure.initial_states],
-            [
-                (cc_label(src), pair_label(pair), cc_label(dst), pair[1] is not None)
-                for src, pair, dst in structure.transitions
-            ],
-        )
-    raise TypeError(f"cannot export {type(structure).__name__}")
+    graph = _graph(structure)
+    observable = dict(graph.events)
+    out = [f"digraph {graph.name} {{", "  rankdir=LR;", '  node [shape=circle];']
+    for index, label in enumerate(graph.initial):
+        marker = f"__start_{index}"
+        out.append(f"  {_quote(marker)} [shape=point, label=\"\"];")
+        out.append(f"  {_quote(marker)} -> {_quote(label)};")
+    for label, is_secret in graph.nodes:
+        attrs = [f"label={_quote(label)}"]
+        if is_secret:
+            attrs += ["style=filled", "fillcolor=lightgray"]
+        out.append(f"  {_quote(label)} [{', '.join(attrs)}];")
+    for src, label, dst in graph.edges:
+        attrs = [f"label={_quote(label)}"]
+        if not observable[label]:
+            attrs.append("style=dashed")
+        out.append(f"  {_quote(src)} -> {_quote(dst)} [{', '.join(attrs)}];")
+    out.append("}")
+    return "\n".join(out) + "\n"

@@ -175,7 +175,11 @@ def _decide(structures: Structures, prop: str, witness: bool) -> Verdict:
     for name in sized:
         structure = getattr(structures, name)
         stats[f"{_STATS_PREFIX[name]}_states"] = len(structure.states)
-        stats[f"{_STATS_PREFIX[name]}_transitions"] = len(structure.transitions)
+        # A product counts its arcs; its transitions would be built just to be counted.
+        groups = (
+            structure.arcs.values() if isinstance(structure, CCAutomaton) else [structure.transitions]
+        )
+        stats[f"{_STATS_PREFIX[name]}_transitions"] = sum(map(len, groups))
     structure = getattr(structures, decided_on)
     offending = next(filter(partial(bad, structures.g), structure.parents), None)
     found = None

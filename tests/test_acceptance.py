@@ -117,7 +117,7 @@ def test_criterion_5():
     cc = build_cc(build_ghat(aut), build_observer(build_gdss(aut)))
     elapsed = time.perf_counter() - started
     assert siso.holds is False
-    assert set(cc.empty_right_states) == {CCState("x4", None), CCState("x5", None)}
+    assert {s for s in cc.states if s.right is None} == {CCState("x4", None), CCState("x5", None)}
     assert elapsed < 1.0
 
 

@@ -1,13 +1,30 @@
+import hashlib
 import json
 import pathlib
 
+import pytest
 
 from opacheck import Run, Witness, load, replay_witness
 from opacheck.cli import main
 
-from conftest import assert_valid_dot, fixture_path
+from conftest import FIXTURE_NAMES, assert_valid_dot, fixture_path
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+# Valid, but the observer reaches the subset {a, b} on "o" and the
+# subset {a,b} on "p", and both render as "{a,b}".
+COLLIDING_LABELS = """opacity-nfa 1
+state x
+state a
+state b
+state a,b
+event o obs
+event p obs
+init x
+trans x o a
+trans x o b
+trans x p a,b
+"""
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +184,38 @@ class TestExport:
             assert code == 0
         assert first.read_bytes() == second.read_bytes()
         assert b'"(x4,{})"' in first.read_bytes()
+
+    def test_export_bytes_match_golden_digests(self, capsys):
+        """sha256 of stdout and the exit code of every fixture, structure
+        and format, one line each, as recorded in the golden file."""
+        lines = []
+        for name in FIXTURE_NAMES:
+            for structure in ("gdss", "ghat", "observer", "cc", "cc-hat"):
+                for fmt in ("dot", "native"):
+                    code, out, _ = run_cli(
+                        capsys,
+                        "export",
+                        str(fixture_path(name)),
+                        "--structure",
+                        structure,
+                        "--format",
+                        fmt,
+                    )
+                    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+                    lines.append(f"{name} {structure} {fmt} {code} {digest}\n")
+        assert "".join(lines) == (GOLDEN / "exports.sha256").read_text()
+
+    @pytest.mark.parametrize("fmt", ["dot", "native"])
+    def test_colliding_state_labels_are_an_input_error(self, capsys, tmp_path, fmt):
+        path = tmp_path / "colliding.aut"
+        path.write_text(COLLIDING_LABELS)
+        code, out, err = run_cli(
+            capsys, "export", str(path), "--structure", "observer", "--format", fmt
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "'{a,b}'" in err
 
     def test_unwritable_out_is_an_input_error(self, capsys, tmp_path):
         code, out, err = run_cli(

@@ -222,11 +222,12 @@ class TestBuildCc:
     def test_known_product_states(self, scso_pos, cso_not_scso):
         cc = build_cc(scso_pos, build_observer(build_gdss(scso_pos)))
         assert CCState("x4", frozenset({"x1", "x5"})) in cc.states
-        assert not cc.empty_right_states
+        assert not [s for s in cc.states if s.right is None]
 
         cc1 = build_cc(cso_not_scso, build_observer(build_gdss(cso_not_scso)))
-        assert cc1.leaking_secret_states == (CCState("x5", None),)
-        assert CCState("x6", None) in cc1.empty_right_states
+        leaking = tuple(s for s in cc1.states if s.right is None and s.left in cc1.left_secret)
+        assert leaking == (CCState("x5", None),)
+        assert CCState("x6", None) in [s for s in cc1.states if s.right is None]
 
     def test_left_without_transitions(self):
         aut = validate(

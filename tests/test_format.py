@@ -15,12 +15,7 @@ from opacheck import (
     serialize,
     validate,
 )
-from opacheck.fileformat import (
-    AutomatonDocument,
-    cc_document,
-    document_of,
-    observer_document,
-)
+from opacheck.fileformat import AutomatonDocument, document_of
 from opacheck.generate import fuzz_automaton
 
 from conftest import FIXTURE_NAMES, assert_valid_dot, fixture_path
@@ -249,20 +244,36 @@ class TestExportDot:
     def test_unsupported_type_rejected(self):
         with pytest.raises(TypeError):
             export_dot("not a structure")
+        with pytest.raises(TypeError):
+            document_of("not a structure")
 
 
 class TestNativeExports:
     def test_observer_document_round_trips(self, scso_pos):
         obs = build_observer(build_gdss(scso_pos))
-        doc = observer_document(obs)
+        doc = document_of(obs)
         assert parse(serialize(doc)) == doc
         assert "{x1,x5}" in doc.states
         assert doc.initial == ("{x0,x3}",)
 
     def test_cc_document_round_trips(self, cso_not_scso):
         cc = build_cc(cso_not_scso, build_observer(build_gdss(cso_not_scso)))
-        doc = cc_document(cc)
+        doc = document_of(cc)
         assert parse(serialize(doc)) == doc
         assert "(x5,{})" in doc.states
         assert ("(u,eps)", False) in doc.events
         assert "(x5,{})" in doc.secret
+
+    def test_colliding_event_labels_are_rejected(self):
+        # The observable "eps,eps" and the silent "eps,eps,eps" both pair
+        # up as "(eps,eps,eps,eps)".
+        aut = validate(
+            states=["q"],
+            events=[("eps,eps", True), ("eps,eps,eps", False)],
+            transitions=[("q", "eps,eps", "q"), ("q", "eps,eps,eps", "q")],
+            initial_states=["q"],
+        )
+        cc = build_cc(aut, build_observer(aut))
+        for render in (document_of, export_dot):
+            with pytest.raises(ValidationError, match=r"'\(eps,eps,eps,eps\)'"):
+                render(cc)

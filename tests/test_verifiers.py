@@ -92,7 +92,7 @@ def test_product_witnesses_are_shortest():
 
 def test_siso_leak_set_is_exact(siso_neg):
     cc = build_cc(build_ghat(siso_neg), build_observer(build_gdss(siso_neg)))
-    assert set(cc.empty_right_states) == {CCState("x4", None), CCState("x5", None)}
+    assert {s for s in cc.states if s.right is None} == {CCState("x4", None), CCState("x5", None)}
 
 
 def test_witness_only_on_request(cso_not_scso):
