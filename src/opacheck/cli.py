@@ -17,13 +17,7 @@ from .fileformat import document_of, export_dot, load, serialize
 from .model import AutomatonWarning, ValidationError
 from .verifiers import PROPERTIES, Structures, check_all, verdict_record
 
-_PROPERTY_TOKENS = {
-    "cso": "CSO",
-    "iso": "ISO",
-    "scso": "SCSO",
-    "siso": "SISO",
-    "inf-sso": "INF_SSO",
-}
+_PROPERTY_TOKENS = {p.lower().replace("_", "-"): p for p in PROPERTIES}
 _TOKEN_ORDER = tuple(_PROPERTY_TOKENS)
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .model import Automaton, unobservable_reach
+from .model import Automaton, _reach, unobservable_reach
 
 # An event pair labels a product transition: (sigma, sigma) when sigma is
 # observable, (sigma, None) when it is silent on the observer side.
@@ -125,14 +125,7 @@ def _restrict(
     observability tags are inherited and the surviving states of
     ``secret`` stay secret.
     """
-    seen = set(initial)
-    frontier = sorted(seen)
-    while frontier:
-        state = frontier.pop()
-        for _, target in g.outgoing(state):
-            if target in allowed and target not in seen:
-                seen.add(target)
-                frontier.append(target)
+    seen = _reach(initial, lambda state: (t for _, t in g.outgoing(state) if t in allowed))
     kept = [(s, e, t) for (s, e, t) in g.transitions if s in seen and t in seen]
     used_events = {e for _, e, _ in kept}
     return Automaton.build(

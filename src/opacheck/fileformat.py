@@ -24,11 +24,11 @@ event pairs ``(a,a)`` or ``(u,eps)``; two equal names are a ValidationError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .constructions import CCAutomaton, ObserverAutomaton, cc_label, pair_label, subset_label
-from .model import Automaton, Transition, ValidationError, check_description, validate
+from .model import Automaton, Transition, ValidationError, _assemble, _checked, check_description
 
 FORMAT_MAGIC = "opacity-nfa"
 FORMAT_VERSION = 1
@@ -58,26 +58,27 @@ class AutomatonDocument:
     def __post_init__(self):
         if self.format_version != FORMAT_VERSION:
             raise FormatError(f"unsupported format version {self.format_version}")
-        groups = {
-            "states": self.states,
-            "events": tuple((str(n), bool(f)) for n, f in self.events),
-            "transitions": tuple(tuple(t) for t in self.transitions),
-            "initial": self.initial,
-            "secret": self.secret,
-        }
-        check_description(*([(entry, None) for entry in group] for group in groups.values()))
-        for field, group in groups.items():
-            object.__setattr__(self, field, tuple(sorted(group)))
+        groups = _checked(self.states, self.events, self.transitions, self.initial, self.secret)
+        for field, group in zip(fields(self)[1:], groups):
+            object.__setattr__(self, field.name, tuple(sorted(group)))
 
     def to_automaton(self) -> Automaton:
-        """Validate and return the described automaton (may warn/raise)."""
-        return validate(
-            states=self.states,
-            events=self.events,
-            transitions=self.transitions,
-            initial_states=self.initial,
-            secret_states=self.secret,
-        )
+        """Return the described automaton, pruning unreachable states and
+        warning as :func:`validate` does.  Construction already checked the
+        description, so it is not checked again; an empty reachable state
+        set still raises :class:`ValidationError`."""
+        return _assemble(self.states, self.events, self.transitions, self.initial, self.secret)
+
+
+# Each directive's argument count and the message for any other count, in
+# the order of the AutomatonDocument fields its entries fill.
+_DIRECTIVES = {
+    "state": (1, "'state' takes exactly one name"),
+    "event": (2, "'event' takes a name and 'obs' or 'unobs'"),
+    "trans": (3, "'trans' takes source, event and target"),
+    "init": (1, "'init' takes exactly one state name"),
+    "secret": (1, "'secret' takes exactly one state name"),
+}
 
 
 def parse(data: "bytes | str") -> AutomatonDocument:
@@ -92,11 +93,7 @@ def parse(data: "bytes | str") -> AutomatonDocument:
             raise FormatError(f"not valid UTF-8: {exc}") from None
     text = data.removeprefix("\ufeff")
 
-    states: list[tuple[str, int]] = []
-    events: list[tuple[tuple[str, bool], int]] = []
-    transitions: list[tuple[Transition, int]] = []
-    initial: list[tuple[str, int]] = []
-    secret: list[tuple[str, int]] = []
+    groups: dict[str, list[tuple[object, int]]] = {directive: [] for directive in _DIRECTIVES}
     header_seen = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -116,33 +113,19 @@ def parse(data: "bytes | str") -> AutomatonDocument:
             header_seen = True
             continue
         directive, args = tokens[0], tokens[1:]
-        if directive == "state":
-            if len(args) != 1:
-                raise FormatError("'state' takes exactly one name", lineno)
-            states.append((args[0], lineno))
-        elif directive == "event":
-            if len(args) != 2 or args[1] not in ("obs", "unobs"):
-                raise FormatError("'event' takes a name and 'obs' or 'unobs'", lineno)
-            events.append(((args[0], args[1] == "obs"), lineno))
-        elif directive == "init":
-            if len(args) != 1:
-                raise FormatError("'init' takes exactly one state name", lineno)
-            initial.append((args[0], lineno))
-        elif directive == "secret":
-            if len(args) != 1:
-                raise FormatError("'secret' takes exactly one state name", lineno)
-            secret.append((args[0], lineno))
-        elif directive == "trans":
-            if len(args) != 3:
-                raise FormatError("'trans' takes source, event and target", lineno)
-            transitions.append(((args[0], args[1], args[2]), lineno))
-        else:
+        if directive not in _DIRECTIVES:
             raise FormatError(f"unknown directive {directive!r}", lineno)
+        arity, message = _DIRECTIVES[directive]
+        if len(args) != arity or directive == "event" and args[1] not in ("obs", "unobs"):
+            raise FormatError(message, lineno)
+        if directive == "event":
+            args = [args[0], args[1] == "obs"]
+        groups[directive].append((args[0] if arity == 1 else tuple(args), lineno))
 
     if not header_seen:
         raise FormatError(f"missing header '{FORMAT_MAGIC} {FORMAT_VERSION}'")
 
-    entries = (states, events, transitions, initial, secret)
+    entries = groups.values()
     try:
         return AutomatonDocument(FORMAT_VERSION, *(tuple(e for e, _ in group) for group in entries))
     except ValidationError:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Transition = tuple[str, str, str]
 
@@ -227,48 +227,67 @@ def validate(
     """Check a raw automaton description and return a usable Automaton.
 
     ``events`` are (name, observable) pairs, so the observable/silent
-    split is a partition by construction.  States unreachable from the
-    initial states are pruned with a :class:`PrunedStatesWarning`; an
-    automaton whose states are all secret is accepted with an
+    split is a partition by construction.  Transitions may be any
+    3-element sequences and flags any truth values; names are taken as
+    given, never converted.  States unreachable from the initial states
+    are pruned with a :class:`PrunedStatesWarning`; an automaton whose
+    states are all secret is accepted with an
     :class:`AllStatesSecretWarning`.
 
     Raises :class:`ValidationError` for anything :func:`check_description`
     rejects and for an empty state set (possibly after pruning).
     """
-    groups = [list(group) for group in (states, events, transitions, initial_states, secret_states)]
-    check_description(*([(entry, None) for entry in group] for group in groups))
-    state_list, event_list, triples, initial, secret = groups
+    return _assemble(*_checked(states, events, transitions, initial_states, secret_states))
 
-    reachable = _reachable_from(set(initial), triples)
-    pruned = tuple(sorted(set(state_list) - reachable))
+
+def _checked(states, events, transitions, initial, secret) -> tuple[tuple, ...]:
+    """The five groups in one shape (transitions as tuples, event flags
+    as bools, names as given), after :func:`check_description` passed them."""
+    groups = (
+        tuple(states),
+        tuple((name, bool(flag)) for name, flag in events),
+        tuple(tuple(t) for t in transitions),
+        tuple(initial),
+        tuple(secret),
+    )
+    check_description(*([(entry, None) for entry in group] for group in groups))
+    return groups
+
+
+def _assemble(states, events, transitions, initial, secret) -> Automaton:
+    """Build the automaton of a checked description, pruning and warning
+    as :func:`validate` says.  The warnings point at the caller of the
+    function that called this one."""
+    by_src: dict[str, list[str]] = {state: [] for state in states}
+    for src, _, dst in transitions:
+        by_src[src].append(dst)
+    reachable = _reach(initial, by_src.__getitem__)
+    pruned = tuple(sorted(set(states) - reachable))
     if pruned:
-        warnings.warn(PrunedStatesWarning(pruned), stacklevel=2)
+        warnings.warn(PrunedStatesWarning(pruned), stacklevel=3)
         # A transition out of a reachable state also ends in one.
-        triples = [t for t in triples if t[0] in reachable]
+        transitions = [t for t in transitions if t[0] in reachable]
     if not reachable:
         raise ValidationError("empty state set: no state is reachable from the initial states")
     if reachable <= set(secret):
-        warnings.warn(AllStatesSecretWarning(), stacklevel=2)
+        warnings.warn(AllStatesSecretWarning(), stacklevel=3)
 
     return Automaton.build(
         states=reachable,
-        events=(name for name, _ in event_list),
-        observable={name for name, is_obs in event_list if is_obs},
-        transitions=triples,
+        events=(name for name, _ in events),
+        observable={name for name, is_obs in events if is_obs},
+        transitions=transitions,
         initial_states=initial,
         secret_states=reachable.intersection(secret),
     )
 
 
-def _reachable_from(sources: set[str], triples: list[Transition]) -> set[str]:
-    by_src: dict[str, list[str]] = {}
-    for src, _, dst in triples:
-        by_src.setdefault(src, []).append(dst)
+def _reach(sources: Iterable[str], successors: Callable[[str], Iterable[str]]) -> set[str]:
+    """``sources`` and every state reachable from them along ``successors``."""
     seen = set(sources)
-    frontier = sorted(sources)
+    frontier = list(seen)
     while frontier:
-        state = frontier.pop()
-        for dst in by_src.get(state, ()):
+        for dst in successors(frontier.pop()):
             if dst not in seen:
                 seen.add(dst)
                 frontier.append(dst)
@@ -289,15 +308,7 @@ def unobservable_reach(aut: Automaton, src: Iterable[str]) -> frozenset[str]:
     This is a closure operator: the result contains ``src``, is monotone
     in it, and applying it twice changes nothing.
     """
-    seen = set(_require_states(aut, src))
-    frontier = sorted(seen)
-    while frontier:
-        state = frontier.pop()
-        for dst in aut._silent_succ.get(state, ()):
-            if dst not in seen:
-                seen.add(dst)
-                frontier.append(dst)
-    return frozenset(seen)
+    return frozenset(_reach(_require_states(aut, src), aut._silent_succ.__getitem__))
 
 
 def delta_extended(aut: Automaton, src: Iterable[str], seq: Sequence[str]) -> frozenset[str]:

@@ -11,12 +11,14 @@ from opacheck import (
     build_ghat,
     build_observer,
     export_dot,
+    load,
     parse,
     serialize,
     validate,
 )
 from opacheck.fileformat import AutomatonDocument, document_of
 from opacheck.generate import fuzz_automaton
+from opacheck.model import AllStatesSecretWarning, PrunedStatesWarning, check_description
 
 from conftest import FIXTURE_NAMES, assert_valid_dot, fixture_path
 
@@ -99,6 +101,10 @@ state q
             (b"opacity-nfa 1\nstate q\nevent a obs\ntrans q a q\ntrans q a q\n", "duplicate transition", 5),
             (b"opacity-nfa 1\nstate q\ninit q\ninit q\n", "duplicate init", 4),
             (b"opacity-nfa 1\nstate q\nstate\n", "'state' takes", 3),
+            (b"opacity-nfa 1\nstate q\ninit\n", "'init' takes", 3),
+            (b"opacity-nfa 1\nstate q\nsecret q q\n", "'secret' takes", 3),
+            (b"opacity-nfa 1\nstate q\ntrans q a\n", "'trans' takes", 3),
+            (b"opacity-nfa 1\nstate q\nevent a\n", "'event' takes", 3),
             (b"", "header", None),
         ],
     )
@@ -156,6 +162,62 @@ class TestDocument:
     def test_version_checked(self):
         with pytest.raises(FormatError):
             AutomatonDocument(2, ("a",), (), (), (), ())
+
+    @pytest.mark.parametrize(
+        "states,events,transitions,initial,error",
+        [
+            # A name that is not a string is rejected, never converted.
+            (("a",), ((1, True),), (), ("a",), "bad event name 1"),
+            # Any 3-element sequence is a transition.
+            (("a",), (("e", True),), (["a", "e", "a"],), ("a",), None),
+        ],
+        ids=["int-event-name", "list-transition"],
+    )
+    def test_entry_shapes_match_validate(self, states, events, transitions, initial, error):
+        def outcome(build):
+            try:
+                return build()
+            except ValidationError as exc:
+                return str(exc)
+
+        from_doc = outcome(
+            lambda: AutomatonDocument(1, states, events, transitions, initial, ()).to_automaton()
+        )
+        from_raw = outcome(lambda: validate(states, events, transitions, initial))
+        assert from_doc == from_raw
+        if error is None:
+            assert from_raw.transitions == (("a", "e", "a"),)
+        else:
+            assert from_raw.startswith(error)
+
+    @pytest.mark.parametrize("entry", ["validate", "to_automaton"])
+    @pytest.mark.parametrize(
+        "category,states,secret",
+        [(PrunedStatesWarning, ("a", "b"), ()), (AllStatesSecretWarning, ("a",), ("a",))],
+        ids=["pruned", "all-secret"],
+    )
+    def test_warnings_point_at_the_caller(self, entry, category, states, secret):
+        doc = AutomatonDocument(1, states, (), (), ("a",), secret)
+        with pytest.warns(category) as caught:
+            if entry == "validate":
+                validate(states, (), (), ("a",), secret)
+            else:
+                doc.to_automaton()
+        assert [w.filename for w in caught] == [__file__]
+
+    def test_description_is_checked_once(self, monkeypatch):
+        calls = []
+
+        def counted(*groups):
+            calls.append(groups)
+            return check_description(*groups)
+
+        monkeypatch.setattr("opacheck.model.check_description", counted)
+        monkeypatch.setattr("opacheck.fileformat.check_description", counted)
+        load(fixture_path("cso_but_not_scso")).to_automaton()
+        assert len(calls) == 1
+        validate(("a",), (("e", True),), (("a", "e", "a"),), ("a",))
+        assert len(calls) == 2
 
 
 class TestSerialize:

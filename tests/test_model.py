@@ -102,6 +102,8 @@ class TestValidate:
             # Names that are not strings break the name rule.
             dict(states=[1], events=[], transitions=[], initial_states=[1]),
             dict(states=["a"], events=[(2, True)], transitions=[], initial_states=["a"]),
+            # A transition may be any sequence; its states are still checked.
+            dict(states=["a"], events=[("e", True)], transitions=[["a", "e", "b"]], initial_states=["a"]),
         ],
     )
     def test_rejections(self, kwargs):
