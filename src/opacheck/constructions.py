@@ -22,6 +22,15 @@ observer and the product keep the breadth-first tree of their
 construction as ``parents``: in discovery order, each state maps to the
 (state, label) it was first reached from, each initial state to None.
 A shortest path to any state is read off that tree.
+
+Neither search repeats work per step.  The observer runs no closure
+search: each state of the source is a bit, and the source keeps, per
+state and observable event, the silent closure of that event's targets
+as one int mask (its closed image).  Closure distributes over union, so
+a step is the OR of the members' masks, and each distinct mask becomes a
+``frozenset`` once, when first reached.  The product groups each left
+state's arcs by event once, so a product state looks up the observer's
+step once per event, not once per arc.
 """
 
 from __future__ import annotations
@@ -29,9 +38,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .model import Automaton, _reach, unobservable_reach
+from .model import Automaton, _reach
 
 # An event pair labels a product transition: (sigma, sigma) when sigma is
 # observable, (sigma, None) when it is silent on the observer side.
@@ -63,10 +74,6 @@ def cc_label(state: CCState) -> str:
 def pair_label(pair: EventPair) -> str:
     """Render an event pair as ``(a,a)`` or ``(u,eps)``."""
     return f"({pair[0]},{pair[1] if pair[1] is not None else 'eps'})"
-
-
-def _subset_key(subset: frozenset[str]) -> tuple[str, ...]:
-    return tuple(sorted(subset))
 
 
 @dataclass(frozen=True)
@@ -164,29 +171,55 @@ def build_observer(src: Automaton) -> ObserverAutomaton:
     when that closure is empty); stepping on an observable event takes the
     event image followed by silent closure, and is undefined when that
     image is empty.  Only subsets reachable from the initial one are kept.
+
+    No closure is searched per step: ``src`` caches, per state and
+    observable event, the silent closure of that event's targets as a bit
+    mask, so a step is the OR of its members' masks.  Each distinct mask
+    becomes a subset once, when it is first reached.
     """
+    return _observer_from(src, src.initial_states)
+
+
+def _observer_from(src: Automaton, initial_states: Iterable[str]) -> ObserverAutomaton:
+    """The observer of ``src`` restarted at ``initial_states``, built on
+    ``src``'s own closure tables."""
     alphabet = tuple(sorted(src.observable))
-    initial = unobservable_reach(src, src.initial_states) or None
+    closures, images = src._closed_images
+    rows = [(event, images[event]) for event in alphabet]
+    names = src.states
+    subsets: dict[int, frozenset[str]] = {}  # each mask reached so far, as a subset
+    members: dict[frozenset[str], list[int]] = {}  # and the subset's bits, ascending
+    parents: dict[frozenset[str], "tuple[frozenset[str], str] | None"] = {}
+    queue: deque[frozenset[str]] = deque()
+
+    def reach(mask: int, link: "tuple[frozenset[str], str] | None") -> frozenset[str]:
+        bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        subset = subsets[mask] = frozenset([names[i] for i in bits])
+        members[subset] = bits
+        parents[subset] = link
+        queue.append(subset)
+        return subset
+
+    initial_mask = 0
+    for x in initial_states:
+        initial_mask |= closures[x]
+    initial = reach(initial_mask, None) if initial_mask else None
     transitions: dict[tuple[frozenset[str], str], frozenset[str]] = {}
-    parents: dict = {} if initial is None else {initial: None}
-    queue = deque(parents)
     while queue:
         subset = queue.popleft()
-        for event in alphabet:
-            image: set[str] = set()
-            for state in subset:
-                image.update(src.successors(state, event))
-            if not image:
-                continue
-            successor = unobservable_reach(src, image)
-            transitions[(subset, event)] = successor
-            if successor not in parents:
-                parents[successor] = (subset, event)
-                queue.append(successor)
+        bits = members[subset]
+        for event, row in rows:
+            mask = 0
+            for i in bits:
+                mask |= row[i]
+            if mask:
+                successor = subsets.get(mask) or reach(mask, (subset, event))
+                transitions[(subset, event)] = successor
     return ObserverAutomaton(
         alphabet=alphabet,
         initial=initial,
-        states=tuple(sorted(parents, key=_subset_key)),
+        # names is sorted, so bit order is name order.
+        states=tuple(sorted(parents, key=members.__getitem__)),
         transitions=transitions,
         parents=parents,
     )
@@ -200,28 +233,36 @@ def build_cc(left: Automaton, obs: ObserverAutomaton) -> CCAutomaton:
     estimate otherwise (including events outside the observer's
     alphabet).  Silent events move only the left side.  The empty
     estimate is absorbing.  Only reachable product states are kept.
+
+    The arcs of each left state are grouped by event once, so a product
+    state looks up the observer's step once per event, not once per arc.
     """
-    initial = tuple(CCState(state, obs.initial) for state in sorted(left.initial_states))
+    # left.transitions is sorted by (source, event, target), so each
+    # group's targets and each state's groups come out in arc order.
+    groups: dict[str, list[tuple[EventPair, tuple[str, ...]]]] = {}
+    for (state, event), arcs_of_event in groupby(left.transitions, key=itemgetter(0, 1)):
+        pair: EventPair = (event, event if event in left.observable else None)
+        groups.setdefault(state, []).append((pair, tuple(t for _, _, t in arcs_of_event)))
+    step = obs.transitions.get
+    new_state = tuple.__new__  # CCState without its Python-level __new__
+    initial = tuple(new_state(CCState, (state, obs.initial)) for state in sorted(left.initial_states))
     parents: dict[CCState, "tuple[CCState, EventPair] | None"] = dict.fromkeys(initial)
     arcs: dict[CCState, tuple[tuple[EventPair, CCState], ...]] = {}
     queue = deque(initial)
     while queue:
         src = queue.popleft()
-        # left.outgoing is sorted by (event, target) and the event fixes
-        # both the pair and the estimate, so the arcs come out sorted.
+        state, estimate = src
         out = []
-        for event, target in left.outgoing(src.left):
-            if event in left.observable:
-                pair: EventPair = (event, event)
-                right = None if src.right is None else obs.step(src.right, event)
-            else:
-                pair = (event, None)
-                right = src.right
-            dst = CCState(target, right)
-            out.append((pair, dst))
-            if dst not in parents:
-                parents[dst] = (src, pair)
-                queue.append(dst)
+        for pair, targets in groups.get(state, ()):
+            seen = pair[1]
+            # The empty estimate (None) has no step, so it stays empty.
+            right = estimate if seen is None else step((estimate, seen))
+            for target in targets:
+                dst = new_state(CCState, (target, right))
+                out.append((pair, dst))
+                if dst not in parents:
+                    parents[dst] = (src, pair)
+                    queue.append(dst)
         arcs[src] = tuple(out)
     # obs.states is sorted, so its order ranks the estimates; None goes first.
     rank = {subset: index for index, subset in enumerate((None, *obs.states))}

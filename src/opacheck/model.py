@@ -119,12 +119,27 @@ class Automaton:
         return {key: tuple(dsts) for key, dsts in by_key.items()}
 
     @cached_property
-    def _silent_succ(self) -> dict[str, tuple[str, ...]]:
-        by_src: dict[str, list[str]] = {x: [] for x in self.states}
+    def _closed_images(self) -> tuple[dict[str, int], dict[str, list[int]]]:
+        """Silent closures as bit masks, bit i standing for ``states[i]``:
+        the closure of each state, and per observable event, per state
+        index, the closure of the event's targets from that state.
+        Closure distributes over union, so the closed image of a set of
+        states is the OR of its members' masks."""
+        index = {x: i for i, x in enumerate(self.states)}
+        closures = {x: 1 << i for x, i in index.items()}
+        silent = [(s, t) for s, e, t in self.transitions if e not in self.observable]
+        changed = bool(silent)
+        while changed:  # until no closure grows
+            changed = False
+            for src, dst in silent:
+                if closures[dst] & ~closures[src]:
+                    closures[src] |= closures[dst]
+                    changed = True
+        rows = {event: [0] * len(index) for event in self.observable}
         for src, event, dst in self.transitions:
-            if event not in self.observable:
-                by_src[src].append(dst)
-        return {x: tuple(sorted(set(dsts))) for x, dsts in by_src.items()}
+            if event in rows:
+                rows[event][index[src]] |= closures[dst]
+        return closures, rows
 
     def outgoing(self, state: str) -> tuple[tuple[str, str], ...]:
         """All (event, target) pairs leaving ``state``, sorted."""
@@ -308,7 +323,11 @@ def unobservable_reach(aut: Automaton, src: Iterable[str]) -> frozenset[str]:
     This is a closure operator: the result contains ``src``, is monotone
     in it, and applying it twice changes nothing.
     """
-    return frozenset(_reach(_require_states(aut, src), aut._silent_succ.__getitem__))
+    closures, _ = aut._closed_images
+    mask = 0
+    for state in _require_states(aut, src):
+        mask |= closures[state]
+    return frozenset([x for i, x in enumerate(aut.states) if mask >> i & 1])
 
 
 def delta_extended(aut: Automaton, src: Iterable[str], seq: Sequence[str]) -> frozenset[str]:

@@ -19,7 +19,7 @@ order decides the verdict, and its tree path is a shortest witness.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
@@ -27,6 +27,7 @@ from .constructions import (
     CCAutomaton,
     CCState,
     ObserverAutomaton,
+    _observer_from,
     build_cc,
     build_gdss,
     build_ghat,
@@ -129,7 +130,7 @@ class Structures:
     @cached_property
     def iso_observer(self) -> ObserverAutomaton:
         """Observer of the system restarted at its non-secret initial states."""
-        return build_observer(replace(self.g, initial_states=self.g.non_secret_initials))
+        return _observer_from(self.g, self.g.non_secret_initials)
 
     @cached_property
     def cc_iso(self) -> CCAutomaton:

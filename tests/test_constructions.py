@@ -1,4 +1,6 @@
 import itertools
+from collections import deque
+from dataclasses import replace
 
 import pytest
 
@@ -12,9 +14,10 @@ from opacheck import (
     project,
     validate,
 )
-from opacheck.constructions import CCState
-from opacheck.generate import fuzz_automaton
+from opacheck.constructions import CCAutomaton, CCState, ObserverAutomaton
+from opacheck.generate import fuzz_automaton, random_automaton
 from opacheck.model import AllStatesSecretWarning
+from opacheck.verifiers import Structures
 
 
 def bfs_states(aut, sources, allowed):
@@ -392,3 +395,207 @@ class TestBreadthFirstTree:
                     cc.initial_states,
                     lambda src, pair, dst: (src, pair, dst) in cc.transitions,
                 )
+
+
+# --- reference constructions ---------------------------------------------
+#
+# The observer and the product as first written: a silent-closure search
+# for every (subset, event) step, and an observer lookup for every arc.
+# The built structures must match them field by field, key order included.
+
+
+def silent_closure(aut, sources):
+    seen = set(sources)
+    frontier = list(seen)
+    while frontier:
+        for event, target in aut.outgoing(frontier.pop()):
+            if event not in aut.observable and target not in seen:
+                seen.add(target)
+                frontier.append(target)
+    return frozenset(seen)
+
+
+def reference_observer(src):
+    alphabet = tuple(sorted(src.observable))
+    initial = silent_closure(src, src.initial_states) or None
+    transitions = {}
+    parents = {} if initial is None else {initial: None}
+    queue = deque(parents)
+    while queue:
+        subset = queue.popleft()
+        for event in alphabet:
+            image = set()
+            for state in subset:
+                image.update(src.successors(state, event))
+            if not image:
+                continue
+            successor = silent_closure(src, image)
+            transitions[(subset, event)] = successor
+            if successor not in parents:
+                parents[successor] = (subset, event)
+                queue.append(successor)
+    states = tuple(sorted(parents, key=lambda subset: tuple(sorted(subset))))
+    return ObserverAutomaton(alphabet, initial, states, transitions, parents)
+
+
+def reference_cc(left, obs):
+    initial = tuple(CCState(state, obs.initial) for state in sorted(left.initial_states))
+    parents = dict.fromkeys(initial)
+    arcs = {}
+    queue = deque(initial)
+    while queue:
+        src = queue.popleft()
+        out = []
+        for event, target in left.outgoing(src.left):
+            if event in left.observable:
+                pair = (event, event)
+                right = None if src.right is None else obs.step(src.right, event)
+            else:
+                pair = (event, None)
+                right = src.right
+            dst = CCState(target, right)
+            out.append((pair, dst))
+            if dst not in parents:
+                parents[dst] = (src, pair)
+                queue.append(dst)
+        arcs[src] = tuple(out)
+    rank = {subset: index for index, subset in enumerate((None, *obs.states))}
+    pairs = tuple((event, event if event in left.observable else None) for event in left.events)
+    states = tuple(sorted(parents, key=lambda s: (s.left, rank[s.right])))
+    return CCAutomaton(pairs, states, arcs, initial, left.secret_states, parents)
+
+
+def assert_same_observer(built, expected):
+    assert built.alphabet == expected.alphabet
+    assert built.initial == expected.initial
+    assert built.states == expected.states
+    assert list(built.transitions.items()) == list(expected.transitions.items())
+    assert list(built.parents.items()) == list(expected.parents.items())
+
+
+def assert_same_cc(built, expected):
+    assert built.event_pairs == expected.event_pairs
+    assert built.states == expected.states
+    assert list(built.arcs.items()) == list(expected.arcs.items())
+    assert built.initial_states == expected.initial_states
+    assert built.left_secret == expected.left_secret
+    assert list(built.parents.items()) == list(expected.parents.items())
+
+
+def assert_matches_reference(aut):
+    """Every observer and product the verifiers build from ``aut``."""
+    structures = Structures(aut)
+    gdss, ghat = structures.gdss, structures.ghat
+    for source, observer in ((aut, structures.estimates), (gdss, structures.observer)):
+        assert_same_observer(observer, reference_observer(source))
+        assert_same_observer(build_observer(source), observer)
+    assert_same_observer(build_observer(ghat), reference_observer(ghat))
+    restarted = replace(aut, initial_states=aut.non_secret_initials)
+    assert_same_observer(structures.iso_observer, reference_observer(restarted))
+    for left, observer in (
+        (aut, structures.observer),
+        (ghat, structures.observer),
+        (ghat, structures.iso_observer),
+        (aut, structures.estimates),
+    ):
+        assert_same_cc(build_cc(left, observer), reference_cc(left, observer))
+
+
+def chain(length, event_of):
+    """States c00, c01, ... in a line; step i is labelled ``event_of(i)``.
+    ``u`` is silent, every other event observable."""
+    names = [f"c{i:02d}" for i in range(length)]
+    transitions = [(names[i], event_of(i), names[i + 1]) for i in range(length - 1)]
+    events = sorted({e for _, e, _ in transitions})
+    return names, transitions, [(e, e != "u") for e in events]
+
+
+class TestMatchesReference:
+    def test_fuzz_instances(self):
+        for aut in random_instances(200):
+            assert_matches_reference(aut)
+
+    def test_larger_instances_with_many_silent_events(self):
+        for seed in range(24):
+            aut = random_automaton(seed=seed, n_states=20 + seed % 11, n_events=4, obs_ratio=0.3)
+            assert_matches_reference(aut)
+
+    def test_silent_cycle(self):
+        aut = validate(
+            states=["p", "q", "r", "s"],
+            events=[("a", True), ("u", False)],
+            transitions=[
+                ("p", "u", "q"),
+                ("q", "u", "p"),
+                ("q", "a", "r"),
+                ("r", "u", "s"),
+                ("s", "u", "r"),
+                ("s", "a", "p"),
+            ],
+            initial_states=["p"],
+        )
+        obs = build_observer(aut)
+        assert obs.initial == frozenset("pq")
+        assert obs.step(frozenset("pq"), "a") == frozenset("rs")
+        assert obs.step(frozenset("rs"), "a") == frozenset("pq")
+        assert_matches_reference(aut)
+
+    def test_event_missing_from_a_subset(self):
+        aut = validate(
+            states=["p", "q"],
+            events=[("a", True), ("b", True)],
+            transitions=[("p", "a", "q"), ("q", "b", "p")],
+            initial_states=["p"],
+        )
+        obs = build_observer(aut)
+        assert obs.step(frozenset("p"), "b") is None
+        assert (frozenset("p"), "b") not in obs.transitions
+        assert obs.step(frozenset("q"), "a") is None
+        assert_matches_reference(aut)
+
+    def test_no_initial_state(self):
+        aut = Automaton.build(["p", "q"], ["a"], ["a"], [("p", "a", "q")], [], [])
+        obs = build_observer(aut)
+        assert obs.initial is None
+        assert obs.states == () and obs.transitions == {} and obs.parents == {}
+        assert_same_observer(obs, reference_observer(aut))
+        assert_same_cc(build_cc(aut, obs), reference_cc(aut, obs))
+
+    @pytest.mark.parametrize("backwards", [False, True], ids=["forwards", "backwards"])
+    def test_chain_longer_than_a_machine_word(self, backwards):
+        # 70 states, so subsets use bits past 64; every eighth step is
+        # observable, the rest silent.  Backwards, each silent step leads
+        # to a smaller name, so no single pass in name order closes it.
+        names, transitions, events = chain(70, lambda i: "a" if i % 8 == 7 else "u")
+        if backwards:
+            transitions = [(t, e, s) for s, e, t in transitions]
+        aut = validate(names, events, transitions, [names[-1] if backwards else names[0]])
+        obs = build_observer(aut)
+        assert len(obs.states) == 9
+        assert max(len(subset) for subset in obs.states) == 8
+        tail = obs.states[-1] if not backwards else obs.initial
+        assert "c69" in tail
+        assert_matches_reference(aut)
+
+    def test_silent_chain_closes_in_one_subset(self):
+        names, transitions, events = chain(70, lambda i: "u")
+        aut = validate(names, events + [("a", True)], transitions + [("c69", "a", "c00")], ["c00"])
+        obs = build_observer(aut)
+        assert obs.initial == frozenset(names)
+        assert obs.step(obs.initial, "a") == obs.initial
+        assert_matches_reference(aut)
+
+    def test_declared_observable_event_without_transitions(self):
+        aut = validate(
+            states=["p", "q"],
+            events=[("a", True), ("b", True), ("u", False)],
+            transitions=[("p", "a", "q"), ("q", "u", "p")],
+            initial_states=["p"],
+        )
+        obs = build_observer(aut)
+        assert obs.alphabet == ("a", "b")
+        assert all(event != "b" for _, event in obs.transitions)
+        cc = build_cc(aut, obs)
+        assert ("b", "b") in cc.event_pairs
+        assert all(pair != ("b", "b") for pair, _ in itertools.chain(*cc.arcs.values()))
+        assert_matches_reference(aut)
