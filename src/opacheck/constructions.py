@@ -23,24 +23,33 @@ construction as ``parents``: in discovery order, each state maps to the
 (state, label) it was first reached from, each initial state to None.
 A shortest path to any state is read off that tree.
 
-Neither search repeats work per step.  The observer runs no closure
-search: each state of the source is a bit, and the source keeps, per
-state and observable event, the silent closure of that event's targets
-as one int mask (its closed image).  Closure distributes over union, so
-a step is the OR of the members' masks, and each distinct mask becomes a
-``frozenset`` once, when first reached.  The product groups each left
-state's arcs by event once, so a product state looks up the observer's
-step once per event, not once per arc.
+The observer and the product are each found by one breadth-first search
+on plain ints, and ``build_observer`` and ``build_cc`` render those
+searches into the labelled fields above.  The deciders read sizes, the
+first bad state and its tree path straight from the searches; labels are
+built only for export, for witnesses, and for callers of ``build_*``.
+
+* ``search_observer`` keeps each estimate as a bit mask over the
+  source's states and numbers the estimates 1, 2, ... in discovery
+  order, 0 standing for the collapsed (empty) estimate.  It runs no
+  closure search: the source keeps, per state and observable event, the
+  silent closure of that event's targets as one mask (its closed image).
+  Closure distributes over union, so a step is the OR of the members'
+  masks.
+* ``search_product`` keys the state (left state i, estimate e) as the
+  int ``e * n + i``, n being the number of left states, so collapsed
+  states are the keys below n.  It groups each left state's arcs by
+  event once, so a product state looks up the observer's step once per
+  event, not once per arc, and it counts arcs instead of storing them.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .model import Automaton, _reach
 
@@ -164,6 +173,137 @@ def build_ghat(g: Automaton) -> Automaton:
     return _restrict(g, g.initial_states & g.secret_states, g._state_set, g.secret_states)
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    bits = []
+    while mask:
+        low = mask & -mask  # the lowest set bit
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
+@dataclass(frozen=True)
+class ObserverSearch:
+    """The observer's breadth-first search, on bit masks.
+
+    Estimates are numbered 1, 2, ... in discovery order, so the initial
+    estimate, if any, is number 1.  Number 0 stands for the collapsed
+    (empty) estimate: it has no members and no parent, and every step
+    from it leads back to 0.  Per number ``i``:
+
+    * ``masks[i]`` is the estimate as a bit mask, bit j standing for
+      ``source.states[j]``, and ``members[i]`` lists its bits, ascending;
+    * ``steps[event][i]`` is the number of its successor on ``event``,
+      0 where the observer is undefined;
+    * ``parents[i]`` is the (number, event) it was first reached from.
+
+    ``transitions`` counts the defined steps.
+    """
+
+    source: Automaton
+    alphabet: tuple[str, ...]
+    masks: list[int]
+    members: list[list[int]]
+    steps: dict[str, list[int]]
+    parents: list["tuple[int, str] | None"]
+    transitions: int
+
+    @property
+    def initial(self) -> int:
+        """Number of the initial estimate: 1, or 0 when there is none."""
+        return 1 if len(self.masks) > 1 else 0
+
+    @property
+    def size(self) -> tuple[int, int]:
+        """(states, transitions) of the observer, the collapsed estimate not counted."""
+        return len(self.masks) - 1, self.transitions
+
+    def subset(self, number: int) -> frozenset[str]:
+        names = self.source.states
+        return frozenset([names[i] for i in self.members[number]])
+
+    def first_within(self, states: frozenset[str]) -> "int | None":
+        """The first estimate, in discovery order, contained in ``states``."""
+        outside = 0
+        for i, name in enumerate(self.source.states):
+            if name not in states:
+                outside |= 1 << i
+        return next((i for i, mask in enumerate(self.masks) if i and not mask & outside), None)
+
+
+def search_observer(src: Automaton, initial_states: "Iterable[str] | None" = None) -> ObserverSearch:
+    """Breadth-first search of the observer of ``src``, started at the
+    closure of ``initial_states`` (``src``'s own by default).
+
+    No closure is searched per step: ``src`` caches, per state and
+    observable event, the silent closure of that event's targets as a bit
+    mask, so a step is the OR of its members' masks.
+    """
+    alphabet = tuple(sorted(src.observable))
+    closures, images = src._closed_images
+    initial = 0
+    for x in src.initial_states if initial_states is None else initial_states:
+        initial |= closures[x]
+    masks, members, parents = [0], [[]], [None]
+    numbers = {}  # mask -> number
+    if initial:
+        numbers[initial] = 1
+        masks.append(initial)
+        members.append(_bits(initial))
+        parents.append(None)
+    steps = {event: [] for event in alphabet}
+    rows = [(event, images[event], steps[event]) for event in alphabet]
+    transitions = 0
+    # members grows while it is walked: each estimate is expanded in
+    # discovery order, number 0 first (its members are none, so its steps are 0).
+    for number, bits in enumerate(members):
+        for event, row, out in rows:
+            mask = 0
+            for i in bits:
+                mask |= row[i]
+            if not mask:
+                out.append(0)
+                continue
+            successor = numbers.get(mask)
+            if successor is None:
+                successor = numbers[mask] = len(masks)
+                masks.append(mask)
+                members.append(_bits(mask))
+                parents.append((number, event))
+            out.append(successor)
+            transitions += 1
+    return ObserverSearch(src, alphabet, masks, members, steps, parents, transitions)
+
+
+def render_observer(search: ObserverSearch) -> ObserverAutomaton:
+    """The labelled observer of a search: each estimate becomes a subset
+    of state names, in the search's discovery order."""
+    names = search.source.states
+    members = search.members
+    subsets = [frozenset([names[i] for i in bits]) for bits in members]
+    count = len(subsets)
+    transitions = {}
+    for number in range(1, count):
+        for event in search.alphabet:
+            successor = search.steps[event][number]
+            if successor:
+                transitions[(subsets[number], event)] = subsets[successor]
+    parents = {
+        subsets[number]: None if link is None else (subsets[link[0]], link[1])
+        for number, link in enumerate(search.parents)
+        if number
+    }
+    return ObserverAutomaton(
+        alphabet=search.alphabet,
+        initial=subsets[1] if count > 1 else None,
+        # names is sorted, so bit order is name order.
+        states=tuple(subsets[i] for i in sorted(range(1, count), key=members.__getitem__)),
+        transitions=transitions,
+        parents=parents,
+    )
+
+
 def build_observer(src: Automaton) -> ObserverAutomaton:
     """Powerset observer of ``src``: subsets consistent with observations.
 
@@ -171,57 +311,147 @@ def build_observer(src: Automaton) -> ObserverAutomaton:
     when that closure is empty); stepping on an observable event takes the
     event image followed by silent closure, and is undefined when that
     image is empty.  Only subsets reachable from the initial one are kept.
-
-    No closure is searched per step: ``src`` caches, per state and
-    observable event, the silent closure of that event's targets as a bit
-    mask, so a step is the OR of its members' masks.  Each distinct mask
-    becomes a subset once, when it is first reached.
+    This renders :func:`search_observer`.
     """
-    return _observer_from(src, src.initial_states)
+    return render_observer(search_observer(src))
 
 
-def _observer_from(src: Automaton, initial_states: Iterable[str]) -> ObserverAutomaton:
-    """The observer of ``src`` restarted at ``initial_states``, built on
-    ``src``'s own closure tables."""
-    alphabet = tuple(sorted(src.observable))
-    closures, images = src._closed_images
-    rows = [(event, images[event]) for event in alphabet]
-    names = src.states
-    subsets: dict[int, frozenset[str]] = {}  # each mask reached so far, as a subset
-    members: dict[frozenset[str], list[int]] = {}  # and the subset's bits, ascending
-    parents: dict[frozenset[str], "tuple[frozenset[str], str] | None"] = {}
-    queue: deque[frozenset[str]] = deque()
+# Per left state, its arcs grouped by event: (event pair, the observer's
+# step row for the event, or None when the event is silent, target indexes).
+ArcGroup = tuple[EventPair, "list[int] | None", tuple[int, ...]]
 
-    def reach(mask: int, link: "tuple[frozenset[str], str] | None") -> frozenset[str]:
-        bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
-        subset = subsets[mask] = frozenset([names[i] for i in bits])
-        members[subset] = bits
-        parents[subset] = link
-        queue.append(subset)
-        return subset
 
-    initial_mask = 0
-    for x in initial_states:
-        initial_mask |= closures[x]
-    initial = reach(initial_mask, None) if initial_mask else None
-    transitions: dict[tuple[frozenset[str], str], frozenset[str]] = {}
-    while queue:
-        subset = queue.popleft()
-        bits = members[subset]
-        for event, row in rows:
-            mask = 0
-            for i in bits:
-                mask |= row[i]
-            if mask:
-                successor = subsets.get(mask) or reach(mask, (subset, event))
-                transitions[(subset, event)] = successor
-    return ObserverAutomaton(
-        alphabet=alphabet,
-        initial=initial,
-        # names is sorted, so bit order is name order.
-        states=tuple(sorted(parents, key=members.__getitem__)),
-        transitions=transitions,
+@dataclass(frozen=True)
+class ProductSearch:
+    """The product's breadth-first search, on int keys.
+
+    The state (left state i, estimate number e) has key ``e * n + i``,
+    where n is the number of left states, so the collapsed states are
+    exactly the keys below n.  ``parents`` maps each key, in discovery
+    order, to the (key, event pair) it was first reached from, and each
+    initial key to None.  Arcs are not stored: ``groups`` gives them per
+    left state, and ``transitions`` counts them.  ``first_collapsed`` is
+    the first collapsed key in discovery order and
+    ``first_secret_collapsed`` the first one whose left state is secret,
+    each None when there is none.
+    """
+
+    left: Automaton
+    groups: list[list[ArcGroup]]
+    initial_keys: tuple[int, ...]
+    parents: dict[int, "tuple[int, EventPair] | None"]
+    transitions: int
+    first_collapsed: "int | None"
+    first_secret_collapsed: "int | None"
+
+    @property
+    def size(self) -> tuple[int, int]:
+        """(states, transitions) of the product."""
+        return len(self.parents), self.transitions
+
+    def left_of(self, key: int) -> str:
+        return self.left.states[key % len(self.left.states)]
+
+
+def search_product(left: Automaton, initial: int, steps: Mapping[str, list[int]]) -> ProductSearch:
+    """Breadth-first search of the product of ``left`` with an observer
+    given by its initial estimate number (0 for none) and its step rows
+    (see :class:`ObserverSearch`).
+
+    The arcs of each left state are grouped by event once, so a product
+    state looks up the observer's step once per event, not once per arc.
+    """
+    names = left.states
+    n = len(names)
+    index = {x: i for i, x in enumerate(names)}
+    # Events outside the observer's alphabet collapse every estimate.
+    collapse = [0] * max([2, *map(len, steps.values())])
+    groups: list[list[ArcGroup]] = [[] for _ in names]
+    degree = [0] * n
+    # left.transitions is sorted by (source, event, target), so each
+    # group's targets and each state's groups come out in arc order.
+    for (state, event), arcs_of_event in groupby(left.transitions, key=itemgetter(0, 1)):
+        targets = tuple([index[t] for _, _, t in arcs_of_event])
+        if event in left.observable:
+            group = ((event, event), steps.get(event, collapse), targets)
+        else:
+            group = ((event, None), None, targets)
+        groups[index[state]].append(group)
+        degree[index[state]] += len(targets)
+    roots = tuple(initial * n + index[x] for x in sorted(left.initial_states))
+    parents: dict[int, "tuple[int, EventPair] | None"] = dict.fromkeys(roots)
+    collapsed = [key for key in roots if key < n]
+    transitions = 0
+    order = list(roots)
+    for key in order:  # order grows while it is walked
+        estimate, state = divmod(key, n)
+        transitions += degree[state]
+        for pair, row, targets in groups[state]:
+            # Row entry 0 is 0, so the collapsed estimate stays collapsed.
+            base = (estimate if row is None else row[estimate]) * n
+            for target in targets:
+                dst = base + target
+                if dst not in parents:
+                    parents[dst] = (key, pair)
+                    order.append(dst)
+                    if dst < n:
+                        collapsed.append(dst)
+    secret = left.secret_states
+    return ProductSearch(
+        left=left,
+        groups=groups,
+        initial_keys=roots,
         parents=parents,
+        transitions=transitions,
+        first_collapsed=collapsed[0] if collapsed else None,
+        first_secret_collapsed=next((key for key in collapsed if names[key] in secret), None),
+    )
+
+
+def render_cc(search: ProductSearch, obs: ObserverAutomaton) -> CCAutomaton:
+    """The labelled product of a search, with estimates labelled by
+    ``obs``: the observer whose step rows the search used, so that its
+    ``parents`` lists the estimates in number order."""
+    left = search.left
+    names = left.states
+    n = len(names)
+    labels = (None, *obs.parents)
+    # obs.states is sorted, so its order ranks the estimates; None goes first.
+    numbers = {subset: number for number, subset in enumerate(labels)}
+    rank = [0] * len(labels)
+    for position, subset in enumerate(obs.states, 1):
+        rank[numbers[subset]] = position
+    new_state = tuple.__new__  # CCState without its Python-level __new__
+    state = {}
+    ranked = {}  # (left state, estimate rank) as one int -> state
+    for key in search.parents:
+        estimate, x = divmod(key, n)
+        state[key] = ranked[x * len(labels) + rank[estimate]] = new_state(
+            CCState, (names[x], labels[estimate])
+        )
+    arcs = {}
+    groups = search.groups
+    for key, src in state.items():
+        estimate, x = divmod(key, n)
+        out = []
+        for pair, row, targets in groups[x]:
+            base = (estimate if row is None else row[estimate]) * n
+            for target in targets:
+                out.append((pair, state[base + target]))
+        arcs[src] = tuple(out)
+    pairs = tuple(
+        (event, event if event in left.observable else None) for event in left.events
+    )
+    return CCAutomaton(
+        event_pairs=pairs,
+        states=tuple([ranked[code] for code in sorted(ranked)]),
+        arcs=arcs,
+        initial_states=tuple(state[key] for key in search.initial_keys),
+        left_secret=left.secret_states,
+        parents={
+            state[key]: None if link is None else (state[link[0]], link[1])
+            for key, link in search.parents.items()
+        },
     )
 
 
@@ -233,47 +463,11 @@ def build_cc(left: Automaton, obs: ObserverAutomaton) -> CCAutomaton:
     estimate otherwise (including events outside the observer's
     alphabet).  Silent events move only the left side.  The empty
     estimate is absorbing.  Only reachable product states are kept.
-
-    The arcs of each left state are grouped by event once, so a product
-    state looks up the observer's step once per event, not once per arc.
+    This renders :func:`search_product`, run on ``obs``'s steps with its
+    subsets numbered in ``parents`` order.
     """
-    # left.transitions is sorted by (source, event, target), so each
-    # group's targets and each state's groups come out in arc order.
-    groups: dict[str, list[tuple[EventPair, tuple[str, ...]]]] = {}
-    for (state, event), arcs_of_event in groupby(left.transitions, key=itemgetter(0, 1)):
-        pair: EventPair = (event, event if event in left.observable else None)
-        groups.setdefault(state, []).append((pair, tuple(t for _, _, t in arcs_of_event)))
-    step = obs.transitions.get
-    new_state = tuple.__new__  # CCState without its Python-level __new__
-    initial = tuple(new_state(CCState, (state, obs.initial)) for state in sorted(left.initial_states))
-    parents: dict[CCState, "tuple[CCState, EventPair] | None"] = dict.fromkeys(initial)
-    arcs: dict[CCState, tuple[tuple[EventPair, CCState], ...]] = {}
-    queue = deque(initial)
-    while queue:
-        src = queue.popleft()
-        state, estimate = src
-        out = []
-        for pair, targets in groups.get(state, ()):
-            seen = pair[1]
-            # The empty estimate (None) has no step, so it stays empty.
-            right = estimate if seen is None else step((estimate, seen))
-            for target in targets:
-                dst = new_state(CCState, (target, right))
-                out.append((pair, dst))
-                if dst not in parents:
-                    parents[dst] = (src, pair)
-                    queue.append(dst)
-        arcs[src] = tuple(out)
-    # obs.states is sorted, so its order ranks the estimates; None goes first.
-    rank = {subset: index for index, subset in enumerate((None, *obs.states))}
-    pairs = tuple(
-        (event, event if event in left.observable else None) for event in left.events
-    )
-    return CCAutomaton(
-        event_pairs=pairs,
-        states=tuple(sorted(parents, key=lambda s: (s.left, rank[s.right]))),
-        arcs=arcs,
-        initial_states=initial,
-        left_secret=left.secret_states,
-        parents=parents,
-    )
+    numbers = {subset: number for number, subset in enumerate(obs.parents, 1)}
+    steps = {event: [0] * (len(numbers) + 1) for event in obs.alphabet}
+    for (subset, event), successor in obs.transitions.items():
+        steps[event][numbers[subset]] = numbers[successor]
+    return render_cc(search_product(left, numbers.get(obs.initial, 0), steps), obs)

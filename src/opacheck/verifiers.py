@@ -3,7 +3,7 @@
 Every property is decided the same way: a structure built from the
 system reaches a bad state exactly when the property fails.  ``_SPECS``
 gives, per property, that structure, the structures whose sizes go in
-the verdict's stats, and the bad-state predicate.  The strong properties
+the verdict's stats, and how to find the first bad state.  The strong properties
 are decided on products with the observer of the non-secret core, where
 bad means a collapsed estimate (for strong current-state opacity, with a
 secret left component); standard current-state opacity on the estimate
@@ -11,28 +11,39 @@ automaton of the full system, where bad means an estimate inside the
 secret set; standard initial-state opacity on the product of the
 secret-start part with the observer of the system restarted at its
 non-secret initial states.  :class:`Structures` builds each structure on
-first use, so properties decided together share it.  Each keeps the
-tree of its breadth-first search: the first bad state in discovery
-order decides the verdict, and its tree path is a shortest witness.
+first use, so properties decided together share it; SCSO and INF_SSO
+read one search of the same product.
+
+The decider runs on the int-keyed searches of
+:mod:`~opacheck.constructions`: estimates are bit masks, product states
+are ints, and no labelled observer or product is built.  Each search
+keeps its breadth-first tree: the first bad state in discovery order
+decides the verdict, and its tree path is a shortest witness.  Labels
+are made only for a witness's path, when one is asked for, and for the
+labelled structures that :class:`Structures` renders on request.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from functools import cached_property
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .constructions import (
     CCAutomaton,
     CCState,
+    EventPair,
     ObserverAutomaton,
-    _observer_from,
-    build_cc,
+    ObserverSearch,
+    ProductSearch,
     build_gdss,
     build_ghat,
-    build_observer,
     cc_label,
+    render_cc,
+    render_observer,
+    search_observer,
+    search_product,
     subset_label,
 )
 from .model import Automaton, Run
@@ -96,7 +107,13 @@ def verdict_record(verdict: Verdict) -> dict:
 
 class Structures:
     """The structures the properties are decided on, each built from the
-    system ``g`` on first use and shared from then on."""
+    system ``g`` on first use and shared from then on.
+
+    The decider reads only the searches (``*_search``): sizes, the first
+    bad state and its tree path.  The labelled observers and products
+    (``observer``, ``cc``, ...) are rendered from them on first access,
+    for export and for tests.
+    """
 
     def __init__(self, g: Automaton):
         self.g = g
@@ -110,61 +127,96 @@ class Structures:
         return build_ghat(self.g)
 
     @cached_property
-    def observer(self) -> ObserverAutomaton:
+    def observer_search(self) -> ObserverSearch:
         """Observer of the non-secret core."""
-        return build_observer(self.gdss)
+        return search_observer(self.gdss)
 
     @cached_property
-    def cc(self) -> CCAutomaton:
-        return build_cc(self.g, self.observer)
+    def estimates_search(self) -> ObserverSearch:
+        """Estimate automaton of the full system."""
+        return search_observer(self.g)
 
     @cached_property
-    def cc_hat(self) -> CCAutomaton:
-        return build_cc(self.ghat, self.observer)
+    def iso_observer_search(self) -> ObserverSearch:
+        """Observer of the system restarted at its non-secret initial states."""
+        return search_observer(self.g, self.g.non_secret_initials)
+
+    @cached_property
+    def cc_search(self) -> ProductSearch:
+        return _product(self.g, self.observer_search)
+
+    @cached_property
+    def cc_hat_search(self) -> ProductSearch:
+        return _product(self.ghat, self.observer_search)
+
+    @cached_property
+    def cc_iso_search(self) -> ProductSearch:
+        return _product(self.ghat, self.iso_observer_search)
+
+    @cached_property
+    def observer(self) -> ObserverAutomaton:
+        return render_observer(self.observer_search)
 
     @cached_property
     def estimates(self) -> ObserverAutomaton:
-        """Estimate automaton of the full system."""
-        return build_observer(self.g)
+        return render_observer(self.estimates_search)
 
     @cached_property
     def iso_observer(self) -> ObserverAutomaton:
-        """Observer of the system restarted at its non-secret initial states."""
-        return _observer_from(self.g, self.g.non_secret_initials)
+        return render_observer(self.iso_observer_search)
+
+    @cached_property
+    def cc(self) -> CCAutomaton:
+        return render_cc(self.cc_search, self.observer)
+
+    @cached_property
+    def cc_hat(self) -> CCAutomaton:
+        return render_cc(self.cc_hat_search, self.observer)
 
     @cached_property
     def cc_iso(self) -> CCAutomaton:
-        return build_cc(self.ghat, self.iso_observer)
+        return render_cc(self.cc_iso_search, self.iso_observer)
 
 
-def _collapsed(g: Automaton, state: CCState) -> bool:
-    return state.right is None
+def _product(left: Automaton, obs: ObserverSearch) -> ProductSearch:
+    return search_product(left, obs.initial, obs.steps)
 
 
-# property -> (structure decided on, structures sized in stats, bad(g, state))
-_SPECS: dict[str, tuple[str, tuple[str, ...], Callable[[Automaton, Any], bool]]] = {
-    CSO: ("estimates", ("estimates",), lambda g, q: q <= g.secret_states),
-    ISO: ("cc_iso", ("ghat", "iso_observer", "cc_iso"), _collapsed),
+def _first_collapsed(g: Automaton, search: ProductSearch) -> "int | None":
+    return search.first_collapsed
+
+
+# property -> (search decided on, structures sized in stats, its first bad
+# state in discovery order, or None)
+_SPECS: dict[str, tuple[str, tuple[str, ...], Callable[[Automaton, Any], "int | None"]]] = {
+    CSO: ("estimates_search", ("estimates_search",), lambda g, s: s.first_within(g.secret_states)),
+    ISO: ("cc_iso_search", ("ghat", "iso_observer_search", "cc_iso_search"), _first_collapsed),
     SCSO: (
-        "cc",
-        ("gdss", "observer", "cc"),
-        lambda g, s: s.right is None and s.left in g.secret_states,
+        "cc_search",
+        ("gdss", "observer_search", "cc_search"),
+        lambda g, s: s.first_secret_collapsed,
     ),
-    SISO: ("cc_hat", ("gdss", "ghat", "observer", "cc_hat"), _collapsed),
-    INF_SSO: ("cc", ("gdss", "observer", "cc"), _collapsed),
+    SISO: ("cc_hat_search", ("gdss", "ghat", "observer_search", "cc_hat_search"), _first_collapsed),
+    INF_SSO: ("cc_search", ("gdss", "observer_search", "cc_search"), _first_collapsed),
 }
 
 # Stats key prefix of each structure.
 _STATS_PREFIX = {
     "gdss": "gdss",
     "ghat": "ghat",
-    "observer": "observer",
-    "iso_observer": "observer",
-    "estimates": "estimate",
-    "cc": "product",
-    "cc_hat": "product",
-    "cc_iso": "product",
+    "observer_search": "observer",
+    "iso_observer_search": "observer",
+    "estimates_search": "estimate",
+    "cc_search": "product",
+    "cc_hat_search": "product",
+    "cc_iso_search": "product",
 }
+
+
+def _size(structure: "Automaton | ObserverSearch | ProductSearch") -> tuple[int, int]:
+    if isinstance(structure, Automaton):
+        return len(structure.states), len(structure.transitions)
+    return structure.size
 
 
 def _decide(structures: Structures, prop: str, witness: bool) -> Verdict:
@@ -174,21 +226,18 @@ def _decide(structures: Structures, prop: str, witness: bool) -> Verdict:
         raise ValueError(f"unknown property: {prop!r}") from None
     stats = {}
     for name in sized:
-        structure = getattr(structures, name)
-        stats[f"{_STATS_PREFIX[name]}_states"] = len(structure.states)
-        # A product counts its arcs; its transitions would be built just to be counted.
-        groups = (
-            structure.arcs.values() if isinstance(structure, CCAutomaton) else [structure.transitions]
-        )
-        stats[f"{_STATS_PREFIX[name]}_transitions"] = sum(map(len, groups))
-    structure = getattr(structures, decided_on)
-    offending = next(filter(partial(bad, structures.g), structure.parents), None)
+        prefix = _STATS_PREFIX[name]
+        stats[f"{prefix}_states"], stats[f"{prefix}_transitions"] = _size(getattr(structures, name))
+    search = getattr(structures, decided_on)
+    offending = bad(structures.g, search)
     found = None
     if witness and offending is not None:
-        if isinstance(structure, CCAutomaton):
-            found = extract_witness(structure, offending)
+        if isinstance(search, ProductSearch):
+            found = _product_witness(search, offending)
         else:
-            found = _estimate_witness(structures.g, structure, offending)
+            found = _observation_witness(
+                structures.g, search.parents, offending, search.subset(offending)
+            )
     return Verdict(prop, offending is None, found, stats)
 
 
@@ -207,7 +256,7 @@ def check(g: Automaton, prop: str, witness: bool = False) -> Verdict:
     return check_all(g, witness, (prop,))[prop]
 
 
-def _tree_path(parents: Mapping, node: Hashable) -> tuple[Any, list[tuple[Any, Any]]]:
+def _tree_path(parents: "Mapping | Sequence", node: Hashable) -> tuple[Any, list[tuple[Any, Any]]]:
     """The root above ``node`` in a breadth-first tree and the (label,
     node) steps from that root down to ``node``; ``parents`` maps each
     node to its (parent, label), and each root to None."""
@@ -223,9 +272,23 @@ def extract_witness(cc: CCAutomaton, offending: CCState) -> Witness:
     """The path to ``offending`` in the product's breadth-first tree: a
     shortest product path, ties broken by event-pair order."""
     start, steps = _tree_path(cc.parents, offending)
+    return _run_witness(start.left, [(pair, dst.left) for pair, dst in steps], offending)
+
+
+def _product_witness(search: ProductSearch, key: int) -> Witness:
+    """:func:`extract_witness` on a product search, read off its int tree;
+    only the offending state is labelled (bad product states are
+    collapsed, so its estimate is None)."""
+    start, steps = _tree_path(search.parents, key)
+    path = [(pair, search.left_of(dst)) for pair, dst in steps]
+    return _run_witness(search.left_of(start), path, CCState(search.left_of(key), None))
+
+
+def _run_witness(start: str, steps: list[tuple[EventPair, str]], offending: Any) -> Witness:
+    """Witness of a product path: its start and (event pair, left state) steps."""
     events = tuple(pair[0] for pair, _ in steps)
     observation = tuple(pair[1] for pair, _ in steps if pair[1] is not None)
-    run = Run(start.left, tuple((pair[0], dst.left) for pair, dst in steps))
+    run = Run(start, tuple((pair[0], dst) for pair, dst in steps))
     return Witness(events, observation, offending, run)
 
 
@@ -235,7 +298,13 @@ def _estimate_witness(
     """Witness for a current-state estimate violation: the observation
     on the tree path to the estimate ``offending`` (a shortest one), plus
     a shortest run realizing that observation."""
-    _, steps = _tree_path(estimates.parents, offending)
+    return _observation_witness(g, estimates.parents, offending, offending)
+
+
+def _observation_witness(g: Automaton, parents: Mapping, node: Hashable, offending: Any) -> Witness:
+    """:func:`_estimate_witness` for the tree path to ``node`` in an
+    observer's ``parents``, with ``offending`` as the estimate's label."""
+    _, steps = _tree_path(parents, node)
     observation = tuple(event for event, _ in steps)
     run = _realize_observation(g, observation)
     return Witness(run.events, observation, offending, run)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -16,13 +17,41 @@ from opacheck import (
     validate,
     Witness,
 )
-from opacheck.constructions import CCState
-from opacheck.generate import IMPLICATIONS, fuzz_instances
+from opacheck.constructions import CCAutomaton, CCState, ObserverAutomaton
+from opacheck.generate import IMPLICATIONS, fuzz_instances, random_automaton
 from opacheck.model import AllStatesSecretWarning
 from opacheck.oracle import _fold_estimates
-from opacheck.verifiers import PROPERTIES, verdict_record
+from opacheck.verifiers import (
+    PROPERTIES,
+    Structures,
+    Verdict,
+    _estimate_witness,
+    extract_witness,
+    verdict_record,
+)
 
 from conftest import EXPECTED_VERDICTS, FIXTURE_NAMES, fixture_path, load_fixture
+from test_constructions import chain, random_instances
+
+
+def larger_instances():
+    """24 random automata of 20-30 states, mostly silent events."""
+    return [
+        random_automaton(seed=seed, n_states=20 + seed % 11, n_events=4, obs_ratio=0.3)
+        for seed in range(24)
+    ]
+
+
+def chain_instances():
+    """70-state chains (estimates wider than 64 bits), with and without
+    secrets and a secret initial state."""
+    for backwards in (False, True):
+        names, transitions, events = chain(70, lambda i: "a" if i % 8 == 7 else "u")
+        if backwards:
+            transitions = [(t, e, s) for s, e, t in transitions]
+        start = names[-1] if backwards else names[0]
+        for secret, initial in (((), [start]), (names[5::10], [start, names[35]])):
+            yield validate(names, events, transitions, initial, secret)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -136,11 +165,33 @@ def test_iso_witness(siso_neg):
     assert replay_witness(siso_neg, witness, "ISO")
 
 
+# property -> stats prefix -> the Structures attribute it sizes
+SIZED = {
+    "CSO": {"estimate": "estimates"},
+    "ISO": {"ghat": "ghat", "observer": "iso_observer", "product": "cc_iso"},
+    "SCSO": {"gdss": "gdss", "observer": "observer", "product": "cc"},
+    "SISO": {"gdss": "gdss", "ghat": "ghat", "observer": "observer", "product": "cc_hat"},
+    "INF_SSO": {"gdss": "gdss", "observer": "observer", "product": "cc"},
+}
+
+
 def test_stats_report_structure_sizes(scso_pos):
     stats = check(scso_pos, "SCSO").stats
     assert stats["gdss_states"] == 4
     assert stats["observer_states"] == 3
     assert stats["product_states"] == 7
+    # The decider never builds the labelled structures; its sizes must
+    # still be theirs, which is what exported node and edge counts show.
+    for aut in random_instances(200) + larger_instances():
+        verdicts = check_all(aut)
+        structures = Structures(aut)
+        for prop, sized in SIZED.items():
+            expected = {}
+            for prefix, name in sized.items():
+                structure = getattr(structures, name)
+                expected[f"{prefix}_states"] = len(structure.states)
+                expected[f"{prefix}_transitions"] = len(structure.transitions)
+            assert dict(verdicts[prop].stats) == expected, prop
 
 
 def test_verdicts_are_deterministic():
@@ -177,3 +228,83 @@ def test_incomparability_witnessed_by_fixtures(iso_not_siso, siso_not_scso):
     assert first["SCSO"].holds and not first["SISO"].holds
     second = check_all(siso_not_scso)
     assert second["SISO"].holds and not second["SCSO"].holds
+
+
+# --- reference decider ------------------------------------------------------
+#
+# The decider as first written on the labelled structures: the first bad
+# state of a structure's breadth-first tree, sizes from its states and
+# counted arcs, and witnesses read off the labelled trees.
+
+
+def reference_check_all(g):
+    gdss, ghat = build_gdss(g), build_ghat(g)
+    observer = build_observer(gdss)
+    iso_observer = build_observer(replace(g, initial_states=g.non_secret_initials))
+    built = {
+        "gdss": gdss,
+        "ghat": ghat,
+        "observer": observer,
+        "iso_observer": iso_observer,
+        "estimates": build_observer(g),
+        "cc": build_cc(g, observer),
+        "cc_hat": build_cc(ghat, observer),
+        "cc_iso": build_cc(ghat, iso_observer),
+    }
+    collapsed = lambda state: state.right is None
+    decided_on = {
+        "CSO": ("estimates", lambda q: q <= g.secret_states),
+        "ISO": ("cc_iso", collapsed),
+        "SCSO": ("cc", lambda s: s.right is None and s.left in g.secret_states),
+        "SISO": ("cc_hat", collapsed),
+        "INF_SSO": ("cc", collapsed),
+    }
+    verdicts = {}
+    for prop, (name, bad) in decided_on.items():
+        stats = {}
+        for prefix, sized in SIZED[prop].items():
+            structure = built[sized]
+            stats[f"{prefix}_states"] = len(structure.states)
+            arcs = structure.arcs.values() if isinstance(structure, CCAutomaton) else [structure.transitions]
+            stats[f"{prefix}_transitions"] = sum(map(len, arcs))
+        structure = built[name]
+        offending = next(filter(bad, structure.parents), None)
+        found = None
+        if offending is not None:
+            if isinstance(structure, CCAutomaton):
+                found = extract_witness(structure, offending)
+            else:
+                found = _estimate_witness(g, structure, offending)
+        verdicts[prop] = Verdict(prop, offending is None, found, stats)
+    return verdicts
+
+
+@pytest.mark.parametrize(
+    "family",
+    [lambda: random_instances(200), larger_instances, chain_instances],
+    ids=["fuzz", "larger", "chains"],
+)
+def test_matches_reference_decider(family):
+    for aut in family():
+        verdicts = check_all(aut, witness=True)
+        expected = reference_check_all(aut)
+        for prop in PROPERTIES:
+            assert json.dumps(verdict_record(verdicts[prop])) == json.dumps(
+                verdict_record(expected[prop])
+            ), prop
+
+
+def test_decider_builds_no_labelled_structure(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built while deciding")
+
+    automata = {name: load_fixture(name) for name in FIXTURE_NAMES}
+    monkeypatch.setattr(ObserverAutomaton, "__init__", refuse)
+    monkeypatch.setattr(CCAutomaton, "__init__", refuse)
+    for name, aut in automata.items():
+        verdicts = check_all(aut, witness=True)
+        for prop, expected in EXPECTED_VERDICTS[name].items():
+            assert verdicts[prop].holds is expected, (name, prop)
+            assert (verdicts[prop].witness is None) is expected, (name, prop)
+            if not expected:
+                assert replay_witness(aut, verdicts[prop].witness, prop), (name, prop)
