@@ -23,24 +23,36 @@ construction as ``parents``: in discovery order, each state maps to the
 (state, label) it was first reached from, each initial state to None.
 A shortest path to any state is read off that tree.
 
-The observer and the product are each found by one breadth-first search
-on plain ints, and ``build_observer`` and ``build_cc`` render those
-searches into the labelled fields above.  The deciders read sizes, the
-first bad state and its tree path straight from the searches; labels are
-built only for export, for witnesses, and for callers of ``build_*``.
+The observer is found by one breadth-first search on plain ints, and
+the product by a count and a breadth-first walk on plain ints;
+``build_observer`` and ``build_cc`` render the searches into the
+labelled fields above.  The deciders read sizes from the observer search
+and the product count, and walk a product only for a witness, up to its
+first bad state; labels are built only for export, for witnesses, and
+for callers of ``build_*``.
 
 * ``search_observer`` keeps each estimate as a bit mask over the
   source's states and numbers the estimates 1, 2, ... in discovery
   order, 0 standing for the collapsed (empty) estimate.  It runs no
-  closure search: the source keeps, per state and observable event, the
-  silent closure of that event's targets as one mask (its closed image).
-  Closure distributes over union, so a step is the OR of the members'
-  masks.
+  closure search: the source packs, per state, the silent closure of
+  each observable event's targets (its closed image) into one int, one
+  slice of bits per event.  Closure distributes over union, so one OR of
+  the members' packed rows steps an estimate on every event at once.
+* ``count_product`` finds a product's exact sizes and its collapsed
+  states without a search: the product's states are the pairs (x, e)
+  with x in L_e, one mask of left states per estimate e, and the masks
+  grow to a fixpoint through the left automaton's packed rows.
 * ``search_product`` keys the state (left state i, estimate e) as the
   int ``e * n + i``, n being the number of left states, so collapsed
   states are the keys below n.  It groups each left state's arcs by
   event once, so a product state looks up the observer's step once per
-  event, not once per arc, and it counts arcs instead of storing them.
+  event, not once per arc.  Its walk is resumable: it stops at the first
+  collapsed state asked for and goes on from there when asked again, so
+  the discovery order is that of one whole search.
+
+Both start the product at given left states, so the product of a part of
+an automaton that keeps every arc out of its states, such as ``Ĝ``, is
+counted and walked on the whole automaton's tables.
 """
 
 from __future__ import annotations
@@ -49,7 +61,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .model import Automaton, _reach
 
@@ -170,7 +182,7 @@ def build_ghat(g: Automaton) -> Automaton:
     Keeps everything reachable from the secret initial states (secret or
     not); empty when there is no secret initial state.
     """
-    return _restrict(g, g.initial_states & g.secret_states, g._state_set, g.secret_states)
+    return _restrict(g, g.secret_initials, g._state_set, g.secret_states)
 
 
 def _bits(mask: int) -> list[int]:
@@ -193,7 +205,7 @@ class ObserverSearch:
     from it leads back to 0.  Per number ``i``:
 
     * ``masks[i]`` is the estimate as a bit mask, bit j standing for
-      ``source.states[j]``, and ``members[i]`` lists its bits, ascending;
+      ``source.states[j]``;
     * ``steps[event][i]`` is the number of its successor on ``event``,
       0 where the observer is undefined;
     * ``parents[i]`` is the (number, event) it was first reached from.
@@ -204,7 +216,6 @@ class ObserverSearch:
     source: Automaton
     alphabet: tuple[str, ...]
     masks: list[int]
-    members: list[list[int]]
     steps: dict[str, list[int]]
     parents: list["tuple[int, str] | None"]
     transitions: int
@@ -221,7 +232,7 @@ class ObserverSearch:
 
     def subset(self, number: int) -> frozenset[str]:
         names = self.source.states
-        return frozenset([names[i] for i in self.members[number]])
+        return frozenset([names[i] for i in _bits(self.masks[number])])
 
     def first_within(self, states: frozenset[str]) -> "int | None":
         """The first estimate, in discovery order, contained in ``states``."""
@@ -236,32 +247,37 @@ def search_observer(src: Automaton, initial_states: "Iterable[str] | None" = Non
     """Breadth-first search of the observer of ``src``, started at the
     closure of ``initial_states`` (``src``'s own by default).
 
-    No closure is searched per step: ``src`` caches, per state and
-    observable event, the silent closure of that event's targets as a bit
-    mask, so a step is the OR of its members' masks.
+    No closure is searched per step: ``src`` packs, per state, the silent
+    closure of each observable event's targets into one int (see
+    :class:`~opacheck.model.ClosedImages`), so one OR over an estimate's
+    members steps it on every event, and a shift splits the result.
     """
     alphabet = tuple(sorted(src.observable))
-    closures, images = src._closed_images
-    initial = 0
-    for x in src.initial_states if initial_states is None else initial_states:
-        initial |= closures[x]
-    masks, members, parents = [0], [[]], [None]
+    tables = src._closed_images
+    packed = tables.packed
+    n = len(src.states)
+    full = (1 << n) - 1
+    initial = tables.closure(src.initial_states if initial_states is None else initial_states)
+    masks, parents = [0], [None]
     numbers = {}  # mask -> number
     if initial:
         numbers[initial] = 1
         masks.append(initial)
-        members.append(_bits(initial))
         parents.append(None)
     steps = {event: [] for event in alphabet}
-    rows = [(event, images[event], steps[event]) for event in alphabet]
+    rows = [(event, steps[event]) for event in alphabet]
     transitions = 0
-    # members grows while it is walked: each estimate is expanded in
-    # discovery order, number 0 first (its members are none, so its steps are 0).
-    for number, bits in enumerate(members):
-        for event, row, out in rows:
-            mask = 0
-            for i in bits:
-                mask |= row[i]
+    # masks grows while it is walked: each estimate is expanded in
+    # discovery order, number 0 first (it has no members, so its steps are 0).
+    for number, mask in enumerate(masks):
+        image = 0
+        while mask:
+            low = mask & -mask  # the lowest set bit
+            image |= packed[low.bit_length() - 1]
+            mask ^= low
+        for event, out in rows:
+            mask = image & full
+            image >>= n
             if not mask:
                 out.append(0)
                 continue
@@ -269,18 +285,17 @@ def search_observer(src: Automaton, initial_states: "Iterable[str] | None" = Non
             if successor is None:
                 successor = numbers[mask] = len(masks)
                 masks.append(mask)
-                members.append(_bits(mask))
                 parents.append((number, event))
             out.append(successor)
             transitions += 1
-    return ObserverSearch(src, alphabet, masks, members, steps, parents, transitions)
+    return ObserverSearch(src, alphabet, masks, steps, parents, transitions)
 
 
 def render_observer(search: ObserverSearch) -> ObserverAutomaton:
     """The labelled observer of a search: each estimate becomes a subset
     of state names, in the search's discovery order."""
     names = search.source.states
-    members = search.members
+    members = [_bits(mask) for mask in search.masks]
     subsets = [frozenset([names[i] for i in bits]) for bits in members]
     count = len(subsets)
     transitions = {}
@@ -316,6 +331,78 @@ def build_observer(src: Automaton) -> ObserverAutomaton:
     return render_observer(search_observer(src))
 
 
+def _observer_rows(left: Automaton, steps: Mapping[str, list[int]]) -> dict[str, list[int]]:
+    """The observer's step row of each observable event of ``left``.
+    Events outside the observer's alphabet collapse every estimate."""
+    collapse = [0] * max([2, *map(len, steps.values())])
+    return {event: steps.get(event, collapse) for event in sorted(left.observable)}
+
+
+class ProductCount(NamedTuple):
+    """Sizes of a product and its collapsed states, found without
+    searching it.  ``collapsed`` is the mask of the left states paired
+    with the collapsed estimate and ``left`` the mask of the left states
+    in any product state, bit i standing for ``left.states[i]``."""
+
+    states: int
+    transitions: int
+    collapsed: int
+    left: int
+
+    @property
+    def size(self) -> tuple[int, int]:
+        return self.states, self.transitions
+
+
+def count_product(
+    left: Automaton, roots: Iterable[str], initial: int, steps: Mapping[str, list[int]]
+) -> ProductCount:
+    """Count the product of ``left``, started at its states ``roots``,
+    with an observer given by its initial estimate number and step rows
+    (see :class:`ObserverSearch`).
+
+    The product's states are the pairs (x, e) with x in L_e, one mask of
+    left states per estimate e.  L_e is closed under ``left``'s silent
+    transitions, so the masks are grown to a fixpoint from the closure of
+    the roots: each new part of L_e steps on every observable event at
+    once through ``left``'s packed rows, and each event's closed image
+    joins the mask of the estimate the observer steps to.  Each state
+    added brings its left state's out-degree of transitions.
+    """
+    tables = left._closed_images
+    packed, degree = tables.packed, tables.degree
+    n = len(left.states)
+    full = (1 << n) - 1
+    rows = list(_observer_rows(left, steps).values())
+    reached = {}  # estimate -> L_e
+    root = tables.closure(roots)
+    pending = {initial: root} if root else {}  # estimate -> left states to add
+    states = transitions = 0
+    while pending:  # a pending mask holds only left states not yet in its L_e
+        estimate, fresh = pending.popitem()
+        reached[estimate] = reached.get(estimate, 0) | fresh
+        states += fresh.bit_count()
+        image = 0
+        while fresh:
+            low = fresh & -fresh
+            i = low.bit_length() - 1
+            image |= packed[i]
+            transitions += degree[i]
+            fresh ^= low
+        for row in rows:
+            mask = image & full
+            image >>= n
+            if mask:
+                target = row[estimate]
+                mask &= ~reached.get(target, 0)
+                if mask:
+                    pending[target] = pending.get(target, 0) | mask
+    union = 0
+    for mask in reached.values():
+        union |= mask
+    return ProductCount(states, transitions, reached.get(0, 0), union)
+
+
 # Per left state, its arcs grouped by event: (event pair, the observer's
 # step row for the event, or None when the event is silent, target indexes).
 ArcGroup = tuple[EventPair, "list[int] | None", tuple[int, ...]]
@@ -323,69 +410,59 @@ ArcGroup = tuple[EventPair, "list[int] | None", tuple[int, ...]]
 
 @dataclass(frozen=True)
 class ProductSearch:
-    """The product's breadth-first search, on int keys.
+    """The product's breadth-first search, on int keys, walked only as
+    far as asked.
 
     The state (left state i, estimate number e) has key ``e * n + i``,
     where n is the number of left states, so the collapsed states are
-    exactly the keys below n.  ``parents`` maps each key, in discovery
-    order, to the (key, event pair) it was first reached from, and each
-    initial key to None.  Arcs are not stored: ``groups`` gives them per
-    left state, and ``transitions`` counts them.  ``first_collapsed`` is
-    the first collapsed key in discovery order and
-    ``first_secret_collapsed`` the first one whose left state is secret,
-    each None when there is none.
+    exactly the keys below n.  ``parents`` maps each key discovered so
+    far, in discovery order, to the (key, event pair) it was first
+    reached from, and each initial key to None.  ``collapsed`` lists the
+    collapsed keys discovered so far, in discovery order.  Arcs are not
+    stored: ``groups`` gives them per left state.
+
+    The walk is resumed where it stopped, so walking in steps discovers
+    the same keys in the same order as walking at once.
     """
 
     left: Automaton
     groups: list[list[ArcGroup]]
     initial_keys: tuple[int, ...]
     parents: dict[int, "tuple[int, EventPair] | None"]
-    transitions: int
-    first_collapsed: "int | None"
-    first_secret_collapsed: "int | None"
+    collapsed: list[int]
+    _discoveries: Iterator[int]
 
-    @property
-    def size(self) -> tuple[int, int]:
-        """(states, transitions) of the product."""
-        return len(self.parents), self.transitions
+    def first_collapsed(self, within: int) -> "int | None":
+        """The first collapsed key in discovery order whose left state is
+        in the mask ``within``, or None.  The walk stops as soon as that
+        key is discovered."""
+        for key in self.collapsed:
+            if within >> key & 1:
+                return key
+        for key in self._discoveries:
+            self.collapsed.append(key)
+            if within >> key & 1:
+                return key
+        return None
+
+    def drain(self) -> None:
+        """Walk the rest of the product."""
+        self.collapsed.extend(self._discoveries)
 
     def left_of(self, key: int) -> str:
         return self.left.states[key % len(self.left.states)]
 
 
-def search_product(left: Automaton, initial: int, steps: Mapping[str, list[int]]) -> ProductSearch:
-    """Breadth-first search of the product of ``left`` with an observer
-    given by its initial estimate number (0 for none) and its step rows
-    (see :class:`ObserverSearch`).
-
-    The arcs of each left state are grouped by event once, so a product
-    state looks up the observer's step once per event, not once per arc.
-    """
-    names = left.states
-    n = len(names)
-    index = {x: i for i, x in enumerate(names)}
-    # Events outside the observer's alphabet collapse every estimate.
-    collapse = [0] * max([2, *map(len, steps.values())])
-    groups: list[list[ArcGroup]] = [[] for _ in names]
-    degree = [0] * n
-    # left.transitions is sorted by (source, event, target), so each
-    # group's targets and each state's groups come out in arc order.
-    for (state, event), arcs_of_event in groupby(left.transitions, key=itemgetter(0, 1)):
-        targets = tuple([index[t] for _, _, t in arcs_of_event])
-        if event in left.observable:
-            group = ((event, event), steps.get(event, collapse), targets)
-        else:
-            group = ((event, None), None, targets)
-        groups[index[state]].append(group)
-        degree[index[state]] += len(targets)
-    roots = tuple(initial * n + index[x] for x in sorted(left.initial_states))
-    parents: dict[int, "tuple[int, EventPair] | None"] = dict.fromkeys(roots)
-    collapsed = [key for key in roots if key < n]
-    transitions = 0
+def _walk(n: int, groups: list[list[ArcGroup]], parents: dict, roots: tuple[int, ...]) -> Iterator[int]:
+    """The breadth-first search of :class:`ProductSearch`: fills
+    ``parents`` in discovery order and yields each collapsed key as it
+    is discovered."""
+    for key in roots:
+        if key < n:
+            yield key
     order = list(roots)
     for key in order:  # order grows while it is walked
         estimate, state = divmod(key, n)
-        transitions += degree[state]
         for pair, row, targets in groups[state]:
             # Row entry 0 is 0, so the collapsed estimate stays collapsed.
             base = (estimate if row is None else row[estimate]) * n
@@ -395,23 +472,44 @@ def search_product(left: Automaton, initial: int, steps: Mapping[str, list[int]]
                     parents[dst] = (key, pair)
                     order.append(dst)
                     if dst < n:
-                        collapsed.append(dst)
-    secret = left.secret_states
-    return ProductSearch(
-        left=left,
-        groups=groups,
-        initial_keys=roots,
-        parents=parents,
-        transitions=transitions,
-        first_collapsed=collapsed[0] if collapsed else None,
-        first_secret_collapsed=next((key for key in collapsed if names[key] in secret), None),
-    )
+                        yield dst
+
+
+def search_product(
+    left: Automaton, roots: Iterable[str], initial: int, steps: Mapping[str, list[int]]
+) -> ProductSearch:
+    """Breadth-first search of the product of ``left``, started at its
+    states ``roots``, with an observer given by its initial estimate
+    number (0 for none) and its step rows (see :class:`ObserverSearch`).
+    Nothing is walked until asked.
+
+    The arcs of each left state are grouped by event once, so a product
+    state looks up the observer's step once per event, not once per arc.
+    """
+    names = left.states
+    index = {x: i for i, x in enumerate(names)}
+    rows = _observer_rows(left, steps)
+    groups: list[list[ArcGroup]] = [[] for _ in names]
+    # left.transitions is sorted by (source, event, target), so each
+    # group's targets and each state's groups come out in arc order.
+    for (state, event), arcs_of_event in groupby(left.transitions, key=itemgetter(0, 1)):
+        targets = tuple([index[t] for _, _, t in arcs_of_event])
+        if event in rows:
+            group = ((event, event), rows[event], targets)
+        else:
+            group = ((event, None), None, targets)
+        groups[index[state]].append(group)
+    keys = tuple(initial * len(names) + index[x] for x in sorted(roots))
+    parents: dict[int, "tuple[int, EventPair] | None"] = dict.fromkeys(keys)
+    return ProductSearch(left, groups, keys, parents, [], _walk(len(names), groups, parents, keys))
 
 
 def render_cc(search: ProductSearch, obs: ObserverAutomaton) -> CCAutomaton:
     """The labelled product of a search, with estimates labelled by
     ``obs``: the observer whose step rows the search used, so that its
-    ``parents`` lists the estimates in number order."""
+    ``parents`` lists the estimates in number order.  The search is
+    walked to the end first."""
+    search.drain()
     left = search.left
     names = left.states
     n = len(names)
@@ -470,4 +568,4 @@ def build_cc(left: Automaton, obs: ObserverAutomaton) -> CCAutomaton:
     steps = {event: [0] * (len(numbers) + 1) for event in obs.alphabet}
     for (subset, event), successor in obs.transitions.items():
         steps[event][numbers[subset]] = numbers[successor]
-    return render_cc(search_product(left, numbers.get(obs.initial, 0), steps), obs)
+    return render_cc(search_product(left, left.initial_states, numbers.get(obs.initial, 0), steps), obs)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 Transition = tuple[str, str, str]
 
@@ -44,6 +44,34 @@ class AllStatesSecretWarning(AutomatonWarning):
 
     def __init__(self) -> None:
         super().__init__("every state is secret; nothing can be kept deniable")
+
+
+class ClosedImages(NamedTuple):
+    """An automaton's states as bit masks, bit i standing for ``states[i]``.
+
+    * ``closures`` maps each state to its silent closure;
+    * ``packed[i]`` holds, for each observable event, the closure of the
+      event's targets from state i (its closed image): event k of the
+      sorted observable alphabet at bits ``k*n`` to ``k*n + n - 1``, n
+      being the number of states;
+    * ``degree[i]`` counts the transitions leaving state i;
+    * ``secret`` is the mask of the secret states.
+
+    Closure distributes over union, so the closed image of a set of
+    states on every event at once is the OR of its members' packed rows.
+    """
+
+    closures: dict[str, int]
+    packed: list[int]
+    degree: list[int]
+    secret: int
+
+    def closure(self, states: Iterable[str]) -> int:
+        """The silent closure of ``states``, as a mask."""
+        mask = 0
+        for x in states:
+            mask |= self.closures[x]
+        return mask
 
 
 @dataclass(frozen=True)
@@ -97,6 +125,10 @@ class Automaton:
         return self.initial_states - self.secret_states
 
     @cached_property
+    def secret_initials(self) -> frozenset[str]:
+        return self.initial_states & self.secret_states
+
+    @cached_property
     def _state_set(self) -> frozenset[str]:
         return frozenset(self.states)
 
@@ -119,14 +151,16 @@ class Automaton:
         return {key: tuple(dsts) for key, dsts in by_key.items()}
 
     @cached_property
-    def _closed_images(self) -> tuple[dict[str, int], dict[str, list[int]]]:
-        """Silent closures as bit masks, bit i standing for ``states[i]``:
-        the closure of each state, and per observable event, per state
-        index, the closure of the event's targets from that state.
-        Closure distributes over union, so the closed image of a set of
-        states is the OR of its members' masks."""
+    def _closed_images(self) -> "ClosedImages":
+        """The per-state tables of the bit-mask searches (see
+        :class:`ClosedImages`), built in one pass over the transitions
+        once the silent closures are known."""
+        n = len(self.states)
         index = {x: i for i, x in enumerate(self.states)}
         closures = {x: 1 << i for x, i in index.items()}
+        secret = 0
+        for x in self.secret_states:
+            secret |= 1 << index[x]
         silent = [(s, t) for s, e, t in self.transitions if e not in self.observable]
         changed = bool(silent)
         while changed:  # until no closure grows
@@ -135,11 +169,15 @@ class Automaton:
                 if closures[dst] & ~closures[src]:
                     closures[src] |= closures[dst]
                     changed = True
-        rows = {event: [0] * len(index) for event in self.observable}
+        shift = {event: k * n for k, event in enumerate(sorted(self.observable))}
+        packed = [0] * n
+        degree = [0] * n
         for src, event, dst in self.transitions:
-            if event in rows:
-                rows[event][index[src]] |= closures[dst]
-        return closures, rows
+            i = index[src]
+            degree[i] += 1
+            if event in shift:
+                packed[i] |= closures[dst] << shift[event]
+        return ClosedImages(closures, packed, degree, secret)
 
     def outgoing(self, state: str) -> tuple[tuple[str, str], ...]:
         """All (event, target) pairs leaving ``state``, sorted."""
@@ -323,10 +361,7 @@ def unobservable_reach(aut: Automaton, src: Iterable[str]) -> frozenset[str]:
     This is a closure operator: the result contains ``src``, is monotone
     in it, and applying it twice changes nothing.
     """
-    closures, _ = aut._closed_images
-    mask = 0
-    for state in _require_states(aut, src):
-        mask |= closures[state]
+    mask = aut._closed_images.closure(_require_states(aut, src))
     return frozenset([x for i, x in enumerate(aut.states) if mask >> i & 1])
 
 

@@ -3,24 +3,28 @@
 Every property is decided the same way: a structure built from the
 system reaches a bad state exactly when the property fails.  ``_SPECS``
 gives, per property, that structure, the structures whose sizes go in
-the verdict's stats, and how to find the first bad state.  The strong properties
-are decided on products with the observer of the non-secret core, where
-bad means a collapsed estimate (for strong current-state opacity, with a
-secret left component); standard current-state opacity on the estimate
-automaton of the full system, where bad means an estimate inside the
-secret set; standard initial-state opacity on the product of the
-secret-start part with the observer of the system restarted at its
-non-secret initial states.  :class:`Structures` builds each structure on
-first use, so properties decided together share it; SCSO and INF_SSO
-read one search of the same product.
+the verdict's stats, and which of its states are bad.  The strong
+properties are decided on products with the observer of the non-secret
+core, where bad means a collapsed estimate (for strong current-state
+opacity, with a secret left component); standard current-state opacity
+on the estimate automaton of the full system, where bad means an
+estimate inside the secret set; standard initial-state opacity on the
+product of the secret-start part with the observer of the system
+restarted at its non-secret initial states.  :class:`Structures` builds
+each structure on first use, so properties decided together share it.
 
-The decider runs on the int-keyed searches of
+The decider runs on the int-keyed structures of
 :mod:`~opacheck.constructions`: estimates are bit masks, product states
-are ints, and no labelled observer or product is built.  Each search
-keeps its breadth-first tree: the first bad state in discovery order
-decides the verdict, and its tree path is a shortest witness.  Labels
-are made only for a witness's path, when one is asked for, and for the
-labelled structures that :class:`Structures` renders on request.
+are ints, and no labelled observer or product is built.  A product is
+decided by its count, which gives its exact sizes and the mask of its
+collapsed states; it is walked breadth-first only when a witness is
+asked for and a bad state exists, and the walk stops at the first bad
+state in discovery order, whose tree path is a shortest witness.  SCSO
+and INF_SSO share one walk of the same product: every SCSO-bad state is
+INF_SSO-bad, so whichever is decided second resumes the walk or finds
+its state already discovered.  Labels are made only for a witness's
+path and for the labelled structures that :class:`Structures` renders
+on request.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Mapping, Sequence
 
 from .constructions import (
     CCAutomaton,
@@ -36,10 +40,13 @@ from .constructions import (
     EventPair,
     ObserverAutomaton,
     ObserverSearch,
+    ProductCount,
     ProductSearch,
+    _bits,
     build_gdss,
     build_ghat,
     cc_label,
+    count_product,
     render_cc,
     render_observer,
     search_observer,
@@ -109,10 +116,13 @@ class Structures:
     """The structures the properties are decided on, each built from the
     system ``g`` on first use and shared from then on.
 
-    The decider reads only the searches (``*_search``): sizes, the first
-    bad state and its tree path.  The labelled observers and products
-    (``observer``, ``cc``, ...) are rendered from them on first access,
-    for export and for tests.
+    The decider reads the observer searches (``*observer_search``,
+    ``estimates_search``) and the product counts (``cc*_count``) for
+    sizes and verdicts, and walks a product (``cc*_search``) only as far
+    as its first bad state, for a witness.  The labelled observers and
+    products (``observer``, ``cc``, ...) are rendered from the searches
+    on first access, for export and for tests; rendering a product walks
+    it to the end and never counts it.
     """
 
     def __init__(self, g: Automaton):
@@ -138,20 +148,52 @@ class Structures:
 
     @cached_property
     def iso_observer_search(self) -> ObserverSearch:
-        """Observer of the system restarted at its non-secret initial states."""
-        return search_observer(self.g, self.g.non_secret_initials)
+        """Observer of the system restarted at its non-secret initial
+        states: the estimate automaton itself when those close to the
+        same initial estimate as all initial states do."""
+        g = self.g
+        tables = g._closed_images
+        if tables.closure(g.non_secret_initials) == tables.closure(g.initial_states):
+            return self.estimates_search
+        return search_observer(g, g.non_secret_initials)
+
+    @cached_property
+    def ghat_size(self) -> tuple[int, int]:
+        """(states, transitions) of ``ghat``, without building it: its
+        states are the left states of the secret-start product, whatever
+        the observer, and it keeps every arc out of them."""
+        reach = self.cc_hat_count.left
+        degree = self.g._closed_images.degree
+        return reach.bit_count(), sum([degree[i] for i in _bits(reach)])
+
+    # ghat keeps every arc out of the states it reaches, so its products
+    # are counted and walked on g's own tables, started at the secret
+    # initial states.  They are rendered on ghat, whose events and secret
+    # states label the product.
+
+    @cached_property
+    def cc_count(self) -> ProductCount:
+        return _count(self.g, self.g.initial_states, self.observer_search)
+
+    @cached_property
+    def cc_hat_count(self) -> ProductCount:
+        return _count(self.g, self.g.secret_initials, self.observer_search)
+
+    @cached_property
+    def cc_iso_count(self) -> ProductCount:
+        return _count(self.g, self.g.secret_initials, self.iso_observer_search)
 
     @cached_property
     def cc_search(self) -> ProductSearch:
-        return _product(self.g, self.observer_search)
+        return _product(self.g, self.g.initial_states, self.observer_search)
 
     @cached_property
     def cc_hat_search(self) -> ProductSearch:
-        return _product(self.ghat, self.observer_search)
+        return _product(self.g, self.g.secret_initials, self.observer_search)
 
     @cached_property
     def cc_iso_search(self) -> ProductSearch:
-        return _product(self.ghat, self.iso_observer_search)
+        return _product(self.g, self.g.secret_initials, self.iso_observer_search)
 
     @cached_property
     def observer(self) -> ObserverAutomaton:
@@ -171,74 +213,85 @@ class Structures:
 
     @cached_property
     def cc_hat(self) -> CCAutomaton:
-        return render_cc(self.cc_hat_search, self.observer)
+        return render_cc(_product(self.ghat, self.ghat.initial_states, self.observer_search), self.observer)
 
     @cached_property
     def cc_iso(self) -> CCAutomaton:
-        return render_cc(self.cc_iso_search, self.iso_observer)
+        ghat = self.ghat
+        return render_cc(_product(ghat, ghat.initial_states, self.iso_observer_search), self.iso_observer)
 
 
-def _product(left: Automaton, obs: ObserverSearch) -> ProductSearch:
-    return search_product(left, obs.initial, obs.steps)
+def _count(left: Automaton, roots: Iterable[str], obs: ObserverSearch) -> ProductCount:
+    return count_product(left, roots, obs.initial, obs.steps)
 
 
-def _first_collapsed(g: Automaton, search: ProductSearch) -> "int | None":
-    return search.first_collapsed
+def _product(left: Automaton, roots: Iterable[str], obs: ObserverSearch) -> ProductSearch:
+    return search_product(left, roots, obs.initial, obs.steps)
 
 
-# property -> (search decided on, structures sized in stats, its first bad
-# state in discovery order, or None)
-_SPECS: dict[str, tuple[str, tuple[str, ...], Callable[[Automaton, Any], "int | None"]]] = {
-    CSO: ("estimates_search", ("estimates_search",), lambda g, s: s.first_within(g.secret_states)),
-    ISO: ("cc_iso_search", ("ghat", "iso_observer_search", "cc_iso_search"), _first_collapsed),
-    SCSO: (
-        "cc_search",
-        ("gdss", "observer_search", "cc_search"),
-        lambda g, s: s.first_secret_collapsed,
+# property -> (structures sized in stats, and for a property decided on a
+# product: its count, its walk, and whether a collapsed state is bad only
+# with a secret left state).  CSO is decided on the estimate automaton.
+_SPECS: dict[str, tuple[tuple[str, ...], "tuple[str, str, bool] | None"]] = {
+    CSO: (("estimates_search",), None),
+    ISO: (
+        ("ghat_size", "iso_observer_search", "cc_iso_count"),
+        ("cc_iso_count", "cc_iso_search", False),
     ),
-    SISO: ("cc_hat_search", ("gdss", "ghat", "observer_search", "cc_hat_search"), _first_collapsed),
-    INF_SSO: ("cc_search", ("gdss", "observer_search", "cc_search"), _first_collapsed),
+    SCSO: (("gdss", "observer_search", "cc_count"), ("cc_count", "cc_search", True)),
+    SISO: (
+        ("gdss", "ghat_size", "observer_search", "cc_hat_count"),
+        ("cc_hat_count", "cc_hat_search", False),
+    ),
+    INF_SSO: (("gdss", "observer_search", "cc_count"), ("cc_count", "cc_search", False)),
 }
 
 # Stats key prefix of each structure.
 _STATS_PREFIX = {
     "gdss": "gdss",
-    "ghat": "ghat",
+    "ghat_size": "ghat",
     "observer_search": "observer",
     "iso_observer_search": "observer",
     "estimates_search": "estimate",
-    "cc_search": "product",
-    "cc_hat_search": "product",
-    "cc_iso_search": "product",
+    "cc_count": "product",
+    "cc_hat_count": "product",
+    "cc_iso_count": "product",
 }
 
 
-def _size(structure: "Automaton | ObserverSearch | ProductSearch") -> tuple[int, int]:
+def _size(structure: "Automaton | ObserverSearch | ProductCount | tuple[int, int]") -> tuple[int, int]:
     if isinstance(structure, Automaton):
         return len(structure.states), len(structure.transitions)
-    return structure.size
+    if isinstance(structure, (ObserverSearch, ProductCount)):
+        return structure.size
+    return structure
 
 
 def _decide(structures: Structures, prop: str, witness: bool) -> Verdict:
     try:
-        decided_on, sized, bad = _SPECS[prop]
+        sized, product = _SPECS[prop]
     except KeyError:
         raise ValueError(f"unknown property: {prop!r}") from None
     stats = {}
     for name in sized:
         prefix = _STATS_PREFIX[name]
         stats[f"{prefix}_states"], stats[f"{prefix}_transitions"] = _size(getattr(structures, name))
-    search = getattr(structures, decided_on)
-    offending = bad(structures.g, search)
+    g = structures.g
     found = None
-    if witness and offending is not None:
-        if isinstance(search, ProductSearch):
-            found = _product_witness(search, offending)
-        else:
-            found = _observation_witness(
-                structures.g, search.parents, offending, search.subset(offending)
-            )
-    return Verdict(prop, offending is None, found, stats)
+    if product is None:
+        search = structures.estimates_search
+        offending = search.first_within(g.secret_states)
+        if witness and offending is not None:
+            found = _observation_witness(g, search.parents, offending, search.subset(offending))
+        return Verdict(prop, offending is None, found, stats)
+    counted, walked, secret_only = product
+    bad = getattr(structures, counted).collapsed  # left states of the bad states
+    if secret_only:
+        bad &= g._closed_images.secret  # every product's left automaton is g
+    if witness and bad:
+        search = getattr(structures, walked)
+        found = _product_witness(search, search.first_collapsed(bad))
+    return Verdict(prop, not bad, found, stats)
 
 
 def check_all(

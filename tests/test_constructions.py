@@ -14,7 +14,13 @@ from opacheck import (
     project,
     validate,
 )
-from opacheck.constructions import CCAutomaton, CCState, ObserverAutomaton
+from opacheck.constructions import (
+    CCAutomaton,
+    CCState,
+    ObserverAutomaton,
+    count_product,
+    search_product,
+)
 from opacheck.generate import fuzz_automaton, random_automaton
 from opacheck.model import AllStatesSecretWarning
 from opacheck.verifiers import Structures
@@ -75,6 +81,26 @@ def observer_words(obs, depth):
 
 def random_instances(n, max_states=6):
     return [fuzz_automaton(base_seed=23, index=i, max_states=max_states) for i in range(n)]
+
+
+def larger_instances():
+    """24 random automata of 20-30 states, mostly silent events."""
+    return [
+        random_automaton(seed=seed, n_states=20 + seed % 11, n_events=4, obs_ratio=0.3)
+        for seed in range(24)
+    ]
+
+
+def chain_instances():
+    """70-state chains (estimates wider than 64 bits), with and without
+    secrets and a secret initial state."""
+    for backwards in (False, True):
+        names, transitions, events = chain(70, lambda i: "a" if i % 8 == 7 else "u")
+        if backwards:
+            transitions = [(t, e, s) for s, e, t in transitions]
+        start = names[-1] if backwards else names[0]
+        for secret, initial in (((), [start]), (names[5::10], [start, names[35]])):
+            yield validate(names, events, transitions, initial, secret)
 
 
 class TestBuildGdss:
@@ -516,8 +542,7 @@ class TestMatchesReference:
             assert_matches_reference(aut)
 
     def test_larger_instances_with_many_silent_events(self):
-        for seed in range(24):
-            aut = random_automaton(seed=seed, n_states=20 + seed % 11, n_events=4, obs_ratio=0.3)
+        for aut in larger_instances():
             assert_matches_reference(aut)
 
     def test_silent_cycle(self):
@@ -599,3 +624,111 @@ class TestMatchesReference:
         assert ("b", "b") in cc.event_pairs
         assert all(pair != ("b", "b") for pair, _ in itertools.chain(*cc.arcs.values()))
         assert_matches_reference(aut)
+
+
+# --- counting a product ------------------------------------------------------
+#
+# The deciders take a product's sizes and collapsed states from a fixpoint
+# over one mask of left states per estimate; the breadth-first walk,
+# drained, must find the same.
+
+
+def assert_count_matches_walk(aut):
+    """Every product the verifiers count from ``aut``, and ``aut`` with
+    its own estimate automaton; and the secret-start products counted
+    and walked on ``aut``'s own tables, as the verifiers do, against the
+    same products on ghat."""
+    structures = Structures(aut)
+    ghat = structures.ghat
+    for left, obs in (
+        (aut, structures.observer_search),
+        (ghat, structures.observer_search),
+        (ghat, structures.iso_observer_search),
+        (aut, structures.estimates_search),
+    ):
+        count = count_product(left, left.initial_states, obs.initial, obs.steps)
+        walk = search_product(left, left.initial_states, obs.initial, obs.steps)
+        walk.drain()
+        arcs = sum(len(left.outgoing(walk.left_of(key))) for key in walk.parents)
+        assert (count.states, count.transitions) == (len(walk.parents), arcs)
+        assert walk.collapsed == [key for key in walk.parents if key < len(left.states)]
+        assert count.collapsed == sum(1 << key for key in walk.collapsed)
+        assert count.left == sum(1 << left.states.index(x) for x in {walk.left_of(k) for k in walk.parents})
+    roots = aut.initial_states & aut.secret_states
+    for obs in (structures.observer_search, structures.iso_observer_search):
+        on_g = count_product(aut, roots, obs.initial, obs.steps)
+        on_ghat = count_product(ghat, ghat.initial_states, obs.initial, obs.steps)
+        assert on_g.size == on_ghat.size
+        names = lambda left, mask: [left.states[i] for i in range(len(left.states)) if mask >> i & 1]
+        assert names(aut, on_g.collapsed) == names(ghat, on_ghat.collapsed)
+        assert names(aut, on_g.left) == list(ghat.states)
+        walks = [search_product(aut, roots, obs.initial, obs.steps)]
+        walks.append(search_product(ghat, ghat.initial_states, obs.initial, obs.steps))
+        order = []
+        for walk in walks:
+            walk.drain()
+            n = len(walk.left.states)
+            label = lambda key: (walk.left_of(key), key // n)
+            order.append(
+                [(label(key), link and (label(link[0]), link[1])) for key, link in walk.parents.items()]
+            )
+        assert order[0] == order[1]
+    assert structures.ghat_size == (len(ghat.states), len(ghat.transitions))
+
+
+class TestCountMatchesWalk:
+    def test_fuzz_instances(self):
+        for aut in random_instances(200):
+            assert_count_matches_walk(aut)
+
+    def test_larger_instances(self):
+        for aut in larger_instances():
+            assert_count_matches_walk(aut)
+
+    def test_chains_longer_than_a_machine_word(self):
+        for aut in chain_instances():
+            assert_count_matches_walk(aut)
+
+    def test_silent_cycles(self):
+        # Two silent cycles joined by observable steps, with a secret
+        # initial state on the second, so that every product is nonempty.
+        aut = validate(
+            states=["p", "q", "r", "s"],
+            events=[("a", True), ("b", True), ("u", False)],
+            transitions=[
+                ("p", "u", "q"),
+                ("q", "u", "p"),
+                ("q", "a", "r"),
+                ("r", "u", "s"),
+                ("s", "u", "r"),
+                ("s", "a", "p"),
+                ("s", "b", "q"),
+            ],
+            initial_states=["p", "r"],
+            secret_states=["r"],
+        )
+        assert Structures(aut).ghat.states
+        assert_count_matches_walk(aut)
+
+    def test_no_initial_state(self):
+        aut = Automaton.build(["p", "q"], ["a"], ["a"], [("p", "a", "q")], [], [])
+        assert count_product(aut, aut.initial_states, 0, {"a": [0]}) == (0, 0, 0, 0)
+        assert_count_matches_walk(aut)
+
+    def test_event_outside_the_observer_alphabet_and_empty_ghat(self):
+        # b leads only into the secret s, so the non-secret core's
+        # observer has no b and every b-step of the system collapses; no
+        # initial state is secret, so ghat is empty.
+        aut = validate(
+            states=["p", "q", "s"],
+            events=[("a", True), ("b", True)],
+            transitions=[("p", "a", "q"), ("p", "b", "s"), ("s", "a", "s")],
+            initial_states=["p"],
+            secret_states=["s"],
+        )
+        structures = Structures(aut)
+        assert structures.observer_search.alphabet == ("a",)
+        assert structures.ghat.states == ()
+        assert structures.cc_count.collapsed == 1 << aut.states.index("s")
+        assert structures.cc_hat_count == (0, 0, 0, 0)
+        assert_count_matches_walk(aut)

@@ -18,7 +18,7 @@ from opacheck import (
     Witness,
 )
 from opacheck.constructions import CCAutomaton, CCState, ObserverAutomaton
-from opacheck.generate import IMPLICATIONS, fuzz_instances, random_automaton
+from opacheck.generate import IMPLICATIONS, fuzz_instances
 from opacheck.model import AllStatesSecretWarning
 from opacheck.oracle import _fold_estimates
 from opacheck.verifiers import (
@@ -31,27 +31,12 @@ from opacheck.verifiers import (
 )
 
 from conftest import EXPECTED_VERDICTS, FIXTURE_NAMES, fixture_path, load_fixture
-from test_constructions import chain, random_instances
-
-
-def larger_instances():
-    """24 random automata of 20-30 states, mostly silent events."""
-    return [
-        random_automaton(seed=seed, n_states=20 + seed % 11, n_events=4, obs_ratio=0.3)
-        for seed in range(24)
-    ]
-
-
-def chain_instances():
-    """70-state chains (estimates wider than 64 bits), with and without
-    secrets and a secret initial state."""
-    for backwards in (False, True):
-        names, transitions, events = chain(70, lambda i: "a" if i % 8 == 7 else "u")
-        if backwards:
-            transitions = [(t, e, s) for s, e, t in transitions]
-        start = names[-1] if backwards else names[0]
-        for secret, initial in (((), [start]), (names[5::10], [start, names[35]])):
-            yield validate(names, events, transitions, initial, secret)
+from test_constructions import (
+    assert_same_observer,
+    chain_instances,
+    larger_instances,
+    random_instances,
+)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -308,3 +293,78 @@ def test_decider_builds_no_labelled_structure(monkeypatch):
             assert (verdicts[prop].witness is None) is expected, (name, prop)
             if not expected:
                 assert replay_witness(aut, verdicts[prop].witness, prop), (name, prop)
+
+
+# --- counting first, walking only for a witness -------------------------------
+
+
+def test_iso_observer_is_the_estimates_when_the_starts_close_alike():
+    # p reaches the secret initial s silently, so restarting at p alone
+    # closes to the same initial estimate.
+    silent_start = validate(
+        states=["p", "s", "q"],
+        events=[("a", True), ("u", False)],
+        transitions=[("p", "u", "s"), ("s", "a", "q")],
+        initial_states=["p", "s"],
+        secret_states=["s"],
+    )
+    automata = [silent_start, *map(load_fixture, FIXTURE_NAMES), *random_instances(200)]
+    shared = 0
+    for aut in automata:
+        structures = Structures(aut)
+        tables = aut._closed_images
+        alike = tables.closure(aut.non_secret_initials) == tables.closure(aut.initial_states)
+        assert (structures.iso_observer_search is structures.estimates_search) is alike
+        shared += alike
+        restarted = replace(aut, initial_states=aut.non_secret_initials)
+        assert_same_observer(structures.iso_observer, build_observer(restarted))
+    assert 0 < shared < len(automata)
+
+
+def test_no_walk_without_witness(monkeypatch):
+    automata = [*map(load_fixture, FIXTURE_NAMES), *random_instances(200)]
+    expected = [{p: v.holds for p, v in check_all(aut, witness=True).items()} for aut in automata]
+
+    def refuse(*args):
+        raise AssertionError("a product was walked without a witness asked for")
+
+    monkeypatch.setattr("opacheck.verifiers.search_product", refuse)
+    for aut, holds in zip(automata, expected):
+        assert {p: v.holds for p, v in check_all(aut).items()} == holds
+
+
+def recorded_walks(monkeypatch):
+    """Every product walk the decider starts, in order, as (left, search)."""
+    from opacheck import verifiers
+
+    walks = []
+    search_product = verifiers.search_product
+
+    def recording(left, roots, initial, steps):
+        walks.append((left, search_product(left, roots, initial, steps)))
+        return walks[-1][1]
+
+    monkeypatch.setattr(verifiers, "search_product", recording)
+    return walks
+
+
+def test_walk_stops_at_the_first_bad_state(cso_not_scso, monkeypatch):
+    walks = recorded_walks(monkeypatch)
+    verdict = check(cso_not_scso, "INF_SSO", witness=True)
+    assert not verdict.holds
+    [(left, search)] = walks
+    assert left is cso_not_scso
+    assert len(search.parents) < verdict.stats["product_states"]
+    assert search.collapsed == [next(key for key in search.parents if key < len(left.states))]
+
+
+def test_scso_and_inf_sso_share_one_walk(monkeypatch):
+    walks = recorded_walks(monkeypatch)
+    both_fail = 0
+    for label, aut in fuzz_instances(300, 6, seed=31):
+        for order in (("SCSO", "INF_SSO"), ("INF_SSO", "SCSO")):
+            walks.clear()
+            verdicts = check_all(aut, witness=True, properties=order)
+            assert len(walks) <= 1, label
+            both_fail += not (verdicts["SCSO"].holds or verdicts["INF_SSO"].holds)
+    assert both_fail
