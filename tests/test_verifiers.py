@@ -1,4 +1,6 @@
+import hashlib
 import json
+import pathlib
 from dataclasses import replace
 
 import pytest
@@ -368,3 +370,35 @@ def test_scso_and_inf_sso_share_one_walk(monkeypatch):
             assert len(walks) <= 1, label
             both_fail += not (verdicts["SCSO"].holds or verdicts["INF_SSO"].holds)
     assert both_fail
+
+
+# --- pinned decider output -----------------------------------------------------
+
+GOLDEN_VERDICTS = pathlib.Path(__file__).resolve().parent / "golden" / "verdicts.sha256"
+
+
+def verdict_digest(automata):
+    """sha256 of the sorted-key JSON records of ``check_all(aut,
+    witness=True)``, one line per verdict, over ``automata`` in order."""
+    digest = hashlib.sha256()
+    for aut in automata:
+        for verdict in check_all(aut, witness=True).values():
+            digest.update(json.dumps(verdict_record(verdict), sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def verdict_digest_lines():
+    """One "group digest" line per fixture, per 500-instance chunk of a
+    3,000-instance fuzz stream, and for the larger and chain instances."""
+    lines = [f"{name} {verdict_digest([load_fixture(name)])}\n" for name in FIXTURE_NAMES]
+    fuzzed = [aut for _, aut in fuzz_instances(3000, 8, seed=7)]
+    for start in range(0, len(fuzzed), 500):
+        group = f"fuzz-seed7-max8-{start}-{start + 499}"
+        lines.append(f"{group} {verdict_digest(fuzzed[start:start + 500])}\n")
+    lines.append(f"larger-and-chains {verdict_digest([*larger_instances(), *chain_instances()])}\n")
+    return lines
+
+
+def test_verdicts_match_golden_digests():
+    """Verdicts, stats and witnesses stay byte-identical to the recorded ones."""
+    assert "".join(verdict_digest_lines()) == GOLDEN_VERDICTS.read_text()
