@@ -28,8 +28,8 @@ the product by a count and a breadth-first walk on plain ints;
 ``build_observer`` and ``build_cc`` render the searches into the
 labelled fields above.  The deciders read sizes from the observer search
 and the product count, and walk a product only for a witness, up to its
-first bad state; labels are built only for export, for witnesses, and
-for callers of ``build_*``.
+first bad state.  The labelled structures exist for ``export`` and for
+callers of the public ``build_*`` only; a witness labels just its path.
 
 * ``search_observer`` keeps each estimate as a bit mask over the
   source's states and numbers the estimates 1, 2, ... in discovery
@@ -113,10 +113,6 @@ class ObserverAutomaton:
     transitions: dict[tuple[frozenset[str], str], frozenset[str]]
     parents: dict[frozenset[str], "tuple[frozenset[str], str] | None"]
 
-    def step(self, subset: frozenset[str], event: str) -> "frozenset[str] | None":
-        """Successor subset, or None where the observer is undefined."""
-        return self.transitions.get((subset, event))
-
 
 @dataclass(frozen=True)
 class CCAutomaton:
@@ -138,9 +134,6 @@ class CCAutomaton:
         """All (source, event pair, target) triples, sorted."""
         # From a list: tuple() of a generator resizes as it grows, fragmenting the heap.
         return tuple([(src, pair, dst) for src in self.states for pair, dst in self.arcs[src]])
-
-    def outgoing(self, state: CCState) -> tuple[tuple[EventPair, CCState], ...]:
-        return self.arcs.get(state, ())
 
 
 def _restrict(
@@ -234,13 +227,9 @@ class ObserverSearch:
         names = self.source.states
         return frozenset([names[i] for i in _bits(self.masks[number])])
 
-    def first_within(self, states: frozenset[str]) -> "int | None":
-        """The first estimate, in discovery order, contained in ``states``."""
-        outside = 0
-        for i, name in enumerate(self.source.states):
-            if name not in states:
-                outside |= 1 << i
-        return next((i for i, mask in enumerate(self.masks) if i and not mask & outside), None)
+    def first_within(self, within: int) -> "int | None":
+        """The first estimate, in discovery order, inside the state mask ``within``."""
+        return next((i for i, mask in enumerate(self.masks) if i and not mask & ~within), None)
 
 
 def search_observer(src: Automaton, initial_states: "Iterable[str] | None" = None) -> ObserverSearch:

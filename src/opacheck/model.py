@@ -144,13 +144,6 @@ class Automaton:
         return {x: tuple(pairs) for x, pairs in by_src.items()}
 
     @cached_property
-    def _succ(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        by_key: dict[tuple[str, str], list[str]] = {}
-        for src, event, dst in self.transitions:
-            by_key.setdefault((src, event), []).append(dst)
-        return {key: tuple(dsts) for key, dsts in by_key.items()}
-
-    @cached_property
     def _closed_images(self) -> "ClosedImages":
         """The per-state tables of the bit-mask searches (see
         :class:`ClosedImages`), built in one pass over the transitions
@@ -185,7 +178,7 @@ class Automaton:
 
     def successors(self, state: str, event: str) -> tuple[str, ...]:
         """Targets of ``event``-labelled transitions from ``state``, sorted."""
-        return self._succ.get((state, event), ())
+        return tuple([dst for label, dst in self.outgoing(state) if label == event])
 
 
 @dataclass(frozen=True)

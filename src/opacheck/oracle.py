@@ -18,8 +18,9 @@ when a pair with nonempty ``reach`` (plus the property's extra shape on
 ``reach``) and empty explanation is reachable.  The pair space is
 finite, so the search is exact, not bounded.
 
-Adjacency is rebuilt here from the raw transition relation on purpose;
-a bug in the shared model indexes cannot hide in both code paths.
+Adjacency is rebuilt here from the raw transition relation on purpose,
+and witness replay checks each run step against it too: a bug in the
+shared model indexes cannot hide in both code paths.
 """
 
 from __future__ import annotations
@@ -179,10 +180,12 @@ def oracle_iso(g: Automaton) -> bool:
     )
 
 
-def _fold_estimates(g: Automaton, observation) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+def _fold_estimates(
+    g: Automaton, adj: dict[str, list[tuple[str, str]]], observation
+) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
     """(reach, safe, companion) after the full observation, from the full
-    initial set / non-secret initials respectively."""
-    adj = _adjacency(g)
+    initial set / non-secret initials respectively; ``adj`` is
+    :func:`_adjacency` of ``g``."""
     silent = g.unobservable
     everything = g._state_set
     non_secret = everything - g.secret_states
@@ -218,8 +221,12 @@ def replay_witness(g: Automaton, witness: Witness, prop: str) -> bool:
         raise MalformedWitness("observation is not the projection of the event sequence")
     if run.start not in g.initial_states:
         raise MalformedWitness("run does not start at an initial state")
-    if not run.is_valid(g):
-        raise MalformedWitness("run does not replay through the transition relation")
+    adj = _adjacency(g)
+    here = run.start
+    for event, state in run.steps:
+        if (event, state) not in adj.get(here, ()):
+            raise MalformedWitness("run does not replay through the transition relation")
+        here = state
 
     # Violation shape.
     if prop in (SCSO, CSO) and run.end not in g.secret_states:
@@ -227,7 +234,7 @@ def replay_witness(g: Automaton, witness: Witness, prop: str) -> bool:
     if prop in (SISO, ISO) and run.start not in g.secret_states:
         return False
 
-    reach, safe, companion = _fold_estimates(g, witness.observation)
+    reach, safe, companion = _fold_estimates(g, adj, witness.observation)
     if prop == CSO:
         return bool(reach) and reach <= g.secret_states
     if prop == ISO:

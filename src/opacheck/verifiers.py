@@ -23,8 +23,9 @@ state in discovery order, whose tree path is a shortest witness.  SCSO
 and INF_SSO share one walk of the same product: every SCSO-bad state is
 INF_SSO-bad, so whichever is decided second resumes the walk or finds
 its state already discovered.  Labels are made only for a witness's
-path and for the labelled structures that :class:`Structures` renders
-on request.
+path.  The labelled structures of :class:`Structures` (``gdss``,
+``ghat``, ``observer``, ``cc``, ``cc_hat``) are the five that ``export``
+writes, rendered on request and never read by the decider.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from typing import Any, Hashable, Iterable, Mapping, Sequence
 from .constructions import (
     CCAutomaton,
     CCState,
-    EventPair,
     ObserverAutomaton,
     ObserverSearch,
     ProductCount,
@@ -119,10 +119,11 @@ class Structures:
     The decider reads the observer searches (``*observer_search``,
     ``estimates_search``) and the product counts (``cc*_count``) for
     sizes and verdicts, and walks a product (``cc*_search``) only as far
-    as its first bad state, for a witness.  The labelled observers and
-    products (``observer``, ``cc``, ...) are rendered from the searches
-    on first access, for export and for tests; rendering a product walks
-    it to the end and never counts it.
+    as its first bad state, for a witness.  The labelled attributes
+    (``gdss``, ``ghat``, ``observer``, ``cc``, ``cc_hat``) are the
+    structures ``export --structure`` names; the observer and products
+    among them are rendered from the searches on first access, and
+    rendering a product walks it to the end and never counts it.
     """
 
     def __init__(self, g: Automaton):
@@ -200,25 +201,12 @@ class Structures:
         return render_observer(self.observer_search)
 
     @cached_property
-    def estimates(self) -> ObserverAutomaton:
-        return render_observer(self.estimates_search)
-
-    @cached_property
-    def iso_observer(self) -> ObserverAutomaton:
-        return render_observer(self.iso_observer_search)
-
-    @cached_property
     def cc(self) -> CCAutomaton:
         return render_cc(self.cc_search, self.observer)
 
     @cached_property
     def cc_hat(self) -> CCAutomaton:
         return render_cc(_product(self.ghat, self.ghat.initial_states, self.observer_search), self.observer)
-
-    @cached_property
-    def cc_iso(self) -> CCAutomaton:
-        ghat = self.ghat
-        return render_cc(_product(ghat, ghat.initial_states, self.iso_observer_search), self.iso_observer)
 
 
 def _count(left: Automaton, roots: Iterable[str], obs: ObserverSearch) -> ProductCount:
@@ -280,9 +268,9 @@ def _decide(structures: Structures, prop: str, witness: bool) -> Verdict:
     found = None
     if product is None:
         search = structures.estimates_search
-        offending = search.first_within(g.secret_states)
+        offending = search.first_within(g._closed_images.secret)
         if witness and offending is not None:
-            found = _observation_witness(g, search.parents, offending, search.subset(offending))
+            found = _observation_witness(search, offending)
         return Verdict(prop, offending is None, found, stats)
     counted, walked, secret_only = product
     bad = getattr(structures, counted).collapsed  # left states of the bad states
@@ -321,46 +309,26 @@ def _tree_path(parents: "Mapping | Sequence", node: Hashable) -> tuple[Any, list
     return node, steps[::-1]
 
 
-def extract_witness(cc: CCAutomaton, offending: CCState) -> Witness:
-    """The path to ``offending`` in the product's breadth-first tree: a
-    shortest product path, ties broken by event-pair order."""
-    start, steps = _tree_path(cc.parents, offending)
-    return _run_witness(start.left, [(pair, dst.left) for pair, dst in steps], offending)
-
-
 def _product_witness(search: ProductSearch, key: int) -> Witness:
-    """:func:`extract_witness` on a product search, read off its int tree;
-    only the offending state is labelled (bad product states are
+    """The path to the product state ``key`` in the breadth-first tree of
+    its walk: a shortest product path, ties broken by event-pair order.
+    Only the offending state is labelled (bad product states are
     collapsed, so its estimate is None)."""
     start, steps = _tree_path(search.parents, key)
-    path = [(pair, search.left_of(dst)) for pair, dst in steps]
-    return _run_witness(search.left_of(start), path, CCState(search.left_of(key), None))
-
-
-def _run_witness(start: str, steps: list[tuple[EventPair, str]], offending: Any) -> Witness:
-    """Witness of a product path: its start and (event pair, left state) steps."""
     events = tuple(pair[0] for pair, _ in steps)
     observation = tuple(pair[1] for pair, _ in steps if pair[1] is not None)
-    run = Run(start, tuple((pair[0], dst) for pair, dst in steps))
-    return Witness(events, observation, offending, run)
+    run = Run(search.left_of(start), tuple((pair[0], search.left_of(dst)) for pair, dst in steps))
+    return Witness(events, observation, CCState(search.left_of(key), None), run)
 
 
-def _estimate_witness(
-    g: Automaton, estimates: ObserverAutomaton, offending: frozenset[str]
-) -> Witness:
-    """Witness for a current-state estimate violation: the observation
-    on the tree path to the estimate ``offending`` (a shortest one), plus
-    a shortest run realizing that observation."""
-    return _observation_witness(g, estimates.parents, offending, offending)
-
-
-def _observation_witness(g: Automaton, parents: Mapping, node: Hashable, offending: Any) -> Witness:
-    """:func:`_estimate_witness` for the tree path to ``node`` in an
-    observer's ``parents``, with ``offending`` as the estimate's label."""
-    _, steps = _tree_path(parents, node)
+def _observation_witness(search: ObserverSearch, number: int) -> Witness:
+    """Witness for a current-state estimate violation: the observation on
+    the tree path to estimate ``number`` of ``search`` (a shortest one),
+    plus a shortest run of the search's source realizing it."""
+    _, steps = _tree_path(search.parents, number)
     observation = tuple(event for event, _ in steps)
-    run = _realize_observation(g, observation)
-    return Witness(run.events, observation, offending, run)
+    run = _realize_observation(search.source, observation)
+    return Witness(run.events, observation, search.subset(number), run)
 
 
 def _realize_observation(g: Automaton, observation: tuple[str, ...]) -> Run:

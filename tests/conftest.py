@@ -1,9 +1,12 @@
 import pathlib
 import re
+from collections import deque
 
 import pytest
 
-from opacheck import load
+from opacheck import load, validate
+from opacheck.constructions import CCAutomaton, CCState, ObserverAutomaton
+from opacheck.generate import fuzz_automaton, random_automaton
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -64,6 +67,137 @@ def siso_neg():
 @pytest.fixture(scope="session")
 def secret_free():
     return load_fixture("no_secrets")
+
+
+# --- instance families ----------------------------------------------------
+
+
+def random_instances(n, max_states=6):
+    return [fuzz_automaton(base_seed=23, index=i, max_states=max_states) for i in range(n)]
+
+
+def larger_instances():
+    """24 random automata of 20-30 states, mostly silent events."""
+    return [
+        random_automaton(seed=seed, n_states=20 + seed % 11, n_events=4, obs_ratio=0.3)
+        for seed in range(24)
+    ]
+
+
+def chain_instances():
+    """70-state chains (estimates wider than 64 bits), with and without
+    secrets and a secret initial state."""
+    for backwards in (False, True):
+        names, transitions, events = chain(70, lambda i: "a" if i % 8 == 7 else "u")
+        if backwards:
+            transitions = [(t, e, s) for s, e, t in transitions]
+        start = names[-1] if backwards else names[0]
+        for secret, initial in (((), [start]), (names[5::10], [start, names[35]])):
+            yield validate(names, events, transitions, initial, secret)
+
+
+def chain(length, event_of):
+    """States c00, c01, ... in a line; step i is labelled ``event_of(i)``.
+    ``u`` is silent, every other event observable."""
+    names = [f"c{i:02d}" for i in range(length)]
+    transitions = [(names[i], event_of(i), names[i + 1]) for i in range(length - 1)]
+    events = sorted({e for _, e, _ in transitions})
+    return names, transitions, [(e, e != "u") for e in events]
+
+
+# --- reference constructions ---------------------------------------------
+#
+# The observer and the product as first written: a silent-closure search
+# for every (subset, event) step, and an observer lookup for every arc.
+# The built structures must match them field by field, key order included.
+
+
+def step(obs, subset, event):
+    """An observer's successor subset, or None where it is undefined."""
+    return obs.transitions.get((subset, event))
+
+
+def outgoing(cc, state):
+    """The (event pair, target) arcs leaving a product state."""
+    return cc.arcs.get(state, ())
+
+
+def silent_closure(aut, sources):
+    seen = set(sources)
+    frontier = list(seen)
+    while frontier:
+        for event, target in aut.outgoing(frontier.pop()):
+            if event not in aut.observable and target not in seen:
+                seen.add(target)
+                frontier.append(target)
+    return frozenset(seen)
+
+
+def reference_observer(src):
+    alphabet = tuple(sorted(src.observable))
+    initial = silent_closure(src, src.initial_states) or None
+    transitions = {}
+    parents = {} if initial is None else {initial: None}
+    queue = deque(parents)
+    while queue:
+        subset = queue.popleft()
+        for event in alphabet:
+            image = set()
+            for state in subset:
+                image.update(src.successors(state, event))
+            if not image:
+                continue
+            successor = silent_closure(src, image)
+            transitions[(subset, event)] = successor
+            if successor not in parents:
+                parents[successor] = (subset, event)
+                queue.append(successor)
+    states = tuple(sorted(parents, key=lambda subset: tuple(sorted(subset))))
+    return ObserverAutomaton(alphabet, initial, states, transitions, parents)
+
+
+def reference_cc(left, obs):
+    initial = tuple(CCState(state, obs.initial) for state in sorted(left.initial_states))
+    parents = dict.fromkeys(initial)
+    arcs = {}
+    queue = deque(initial)
+    while queue:
+        src = queue.popleft()
+        out = []
+        for event, target in left.outgoing(src.left):
+            if event in left.observable:
+                pair = (event, event)
+                right = None if src.right is None else step(obs, src.right, event)
+            else:
+                pair = (event, None)
+                right = src.right
+            dst = CCState(target, right)
+            out.append((pair, dst))
+            if dst not in parents:
+                parents[dst] = (src, pair)
+                queue.append(dst)
+        arcs[src] = tuple(out)
+    rank = {subset: index for index, subset in enumerate((None, *obs.states))}
+    pairs = tuple((event, event if event in left.observable else None) for event in left.events)
+    states = tuple(sorted(parents, key=lambda s: (s.left, rank[s.right])))
+    return CCAutomaton(pairs, states, arcs, initial, left.secret_states, parents)
+
+
+def assert_same_observer(built, expected):
+    assert built.alphabet == expected.alphabet
+    assert built.initial == expected.initial
+    assert built.states == expected.states
+    assert list(built.transitions.items()) == list(expected.transitions.items())
+    assert list(built.parents.items()) == list(expected.parents.items())
+
+
+def assert_same_cc(built, expected):
+    assert built.event_pairs == expected.event_pairs
+    assert built.states == expected.states
+    assert list(built.arcs.items()) == list(expected.arcs.items())
+    assert built.initial_states == expected.initial_states
+    assert built.left_secret == expected.left_secret
+    assert list(built.parents.items()) == list(expected.parents.items())
 
 
 # --- tiny DOT grammar checker -------------------------------------------

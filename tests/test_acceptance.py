@@ -25,7 +25,7 @@ from opacheck.constructions import CCState
 from opacheck.generate import IMPLICATIONS, fuzz_instances, random_automaton, run_campaign
 from opacheck.verifiers import PROPERTIES
 
-from conftest import load_fixture
+from conftest import load_fixture, outgoing, step
 from test_constructions import observer_words, states_with_observation
 
 CAMPAIGN_SEED = 20260810
@@ -149,7 +149,7 @@ def observer_run(observer, observation):
     for event in observation:
         if here is None:
             return None
-        here = observer.step(here, event)
+        here = step(observer, here, event)
     return here
 
 
@@ -179,12 +179,12 @@ def test_criterion_9():
             assert here in states, label
             for event, target in run.steps:
                 if event in aut.observable:
-                    right = None if right is None else observer.step(right, event)
+                    right = None if right is None else step(observer, right, event)
                     pair = (event, event)
                 else:
                     pair = (event, None)
                 nxt = CCState(target, right)
-                assert (pair, nxt) in cc.outgoing(here), label
+                assert (pair, nxt) in outgoing(cc, here), label
                 here = nxt
         # ...and conversely each product transition is a transition of the
         # system whose pair components project equally, so every product

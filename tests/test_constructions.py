@@ -1,5 +1,4 @@
 import itertools
-from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -14,16 +13,22 @@ from opacheck import (
     project,
     validate,
 )
-from opacheck.constructions import (
-    CCAutomaton,
-    CCState,
-    ObserverAutomaton,
-    count_product,
-    search_product,
-)
-from opacheck.generate import fuzz_automaton, random_automaton
+from opacheck.constructions import CCState, count_product, render_observer, search_product
 from opacheck.model import AllStatesSecretWarning
 from opacheck.verifiers import Structures
+
+from conftest import (
+    assert_same_cc,
+    assert_same_observer,
+    chain,
+    chain_instances,
+    larger_instances,
+    outgoing,
+    random_instances,
+    reference_cc,
+    reference_observer,
+    step,
+)
 
 
 def bfs_states(aut, sources, allowed):
@@ -71,36 +76,12 @@ def observer_words(obs, depth):
         nxt = []
         for word, subset in frontier:
             for event in obs.alphabet:
-                successor = obs.step(subset, event)
+                successor = step(obs, subset, event)
                 if successor is not None:
                     nxt.append((word + (event,), successor))
         words.extend(nxt)
         frontier = nxt
     return words
-
-
-def random_instances(n, max_states=6):
-    return [fuzz_automaton(base_seed=23, index=i, max_states=max_states) for i in range(n)]
-
-
-def larger_instances():
-    """24 random automata of 20-30 states, mostly silent events."""
-    return [
-        random_automaton(seed=seed, n_states=20 + seed % 11, n_events=4, obs_ratio=0.3)
-        for seed in range(24)
-    ]
-
-
-def chain_instances():
-    """70-state chains (estimates wider than 64 bits), with and without
-    secrets and a secret initial state."""
-    for backwards in (False, True):
-        names, transitions, events = chain(70, lambda i: "a" if i % 8 == 7 else "u")
-        if backwards:
-            transitions = [(t, e, s) for s, e, t in transitions]
-        start = names[-1] if backwards else names[0]
-        for secret, initial in (((), [start]), (names[5::10], [start, names[35]])):
-            yield validate(names, events, transitions, initial, secret)
 
 
 class TestBuildGdss:
@@ -189,10 +170,10 @@ class TestBuildObserver:
             frozenset({"x1", "x5"}),
             frozenset({"x5"}),
         }
-        assert obs.step(frozenset({"x0", "x3"}), "a") == frozenset({"x1", "x5"})
-        assert obs.step(frozenset({"x0", "x3"}), "b") is None
-        assert obs.step(frozenset({"x1", "x5"}), "b") == frozenset({"x5"})
-        assert obs.step(frozenset({"x5"}), "b") == frozenset({"x5"})
+        assert step(obs, frozenset({"x0", "x3"}), "a") == frozenset({"x1", "x5"})
+        assert step(obs, frozenset({"x0", "x3"}), "b") is None
+        assert step(obs, frozenset({"x1", "x5"}), "b") == frozenset({"x5"})
+        assert step(obs, frozenset({"x5"}), "b") == frozenset({"x5"})
 
     def test_deterministic_fully_observable_source(self):
         aut = validate(
@@ -225,7 +206,7 @@ class TestBuildObserver:
             while frontier:
                 subset = frontier.pop()
                 for event in obs.alphabet:
-                    successor = obs.step(subset, event)
+                    successor = step(obs, subset, event)
                     if successor is not None and successor not in reached:
                         reached.add(successor)
                         frontier.append(successor)
@@ -292,7 +273,7 @@ class TestBuildCc:
             for _ in range(4):
                 nxt = []
                 for state, left_word, right_word in frontier:
-                    for (event, right_part), dst in cc.outgoing(state):
+                    for (event, right_part), dst in outgoing(cc, state):
                         extended_left = left_word + (event,)
                         extended_right = (
                             right_word if right_part is None else right_word + (right_part,)
@@ -315,12 +296,12 @@ class TestBuildCc:
                 assert here in states
                 for event, target in run.steps:
                     if event in aut.observable:
-                        right = None if right is None else obs.step(right, event)
+                        right = None if right is None else step(obs, right, event)
                         pair = (event, event)
                     else:
                         pair = (event, None)
                     nxt = CCState(target, right)
-                    assert (pair, nxt) in cc.outgoing(here)
+                    assert (pair, nxt) in outgoing(cc, here)
                     here = nxt
 
     def test_observer_language_equals_projected_language(self):
@@ -407,7 +388,7 @@ class TestBreadthFirstTree:
                 obs = build_observer(source)
                 roots = () if obs.initial is None else (obs.initial,)
                 self.check_tree(
-                    obs.parents, obs.states, roots, lambda q, e, q2: obs.step(q, e) == q2
+                    obs.parents, obs.states, roots, lambda q, e, q2: step(obs, q, e) == q2
                 )
 
     def test_product_tree(self):
@@ -423,117 +404,31 @@ class TestBreadthFirstTree:
                 )
 
 
-# --- reference constructions ---------------------------------------------
+# --- against the reference constructions -----------------------------------
 #
-# The observer and the product as first written: a silent-closure search
-# for every (subset, event) step, and an observer lookup for every arc.
-# The built structures must match them field by field, key order included.
-
-
-def silent_closure(aut, sources):
-    seen = set(sources)
-    frontier = list(seen)
-    while frontier:
-        for event, target in aut.outgoing(frontier.pop()):
-            if event not in aut.observable and target not in seen:
-                seen.add(target)
-                frontier.append(target)
-    return frozenset(seen)
-
-
-def reference_observer(src):
-    alphabet = tuple(sorted(src.observable))
-    initial = silent_closure(src, src.initial_states) or None
-    transitions = {}
-    parents = {} if initial is None else {initial: None}
-    queue = deque(parents)
-    while queue:
-        subset = queue.popleft()
-        for event in alphabet:
-            image = set()
-            for state in subset:
-                image.update(src.successors(state, event))
-            if not image:
-                continue
-            successor = silent_closure(src, image)
-            transitions[(subset, event)] = successor
-            if successor not in parents:
-                parents[successor] = (subset, event)
-                queue.append(successor)
-    states = tuple(sorted(parents, key=lambda subset: tuple(sorted(subset))))
-    return ObserverAutomaton(alphabet, initial, states, transitions, parents)
-
-
-def reference_cc(left, obs):
-    initial = tuple(CCState(state, obs.initial) for state in sorted(left.initial_states))
-    parents = dict.fromkeys(initial)
-    arcs = {}
-    queue = deque(initial)
-    while queue:
-        src = queue.popleft()
-        out = []
-        for event, target in left.outgoing(src.left):
-            if event in left.observable:
-                pair = (event, event)
-                right = None if src.right is None else obs.step(src.right, event)
-            else:
-                pair = (event, None)
-                right = src.right
-            dst = CCState(target, right)
-            out.append((pair, dst))
-            if dst not in parents:
-                parents[dst] = (src, pair)
-                queue.append(dst)
-        arcs[src] = tuple(out)
-    rank = {subset: index for index, subset in enumerate((None, *obs.states))}
-    pairs = tuple((event, event if event in left.observable else None) for event in left.events)
-    states = tuple(sorted(parents, key=lambda s: (s.left, rank[s.right])))
-    return CCAutomaton(pairs, states, arcs, initial, left.secret_states, parents)
-
-
-def assert_same_observer(built, expected):
-    assert built.alphabet == expected.alphabet
-    assert built.initial == expected.initial
-    assert built.states == expected.states
-    assert list(built.transitions.items()) == list(expected.transitions.items())
-    assert list(built.parents.items()) == list(expected.parents.items())
-
-
-def assert_same_cc(built, expected):
-    assert built.event_pairs == expected.event_pairs
-    assert built.states == expected.states
-    assert list(built.arcs.items()) == list(expected.arcs.items())
-    assert built.initial_states == expected.initial_states
-    assert built.left_secret == expected.left_secret
-    assert list(built.parents.items()) == list(expected.parents.items())
+# The observer and the product the verifiers search, rendered, must match
+# the reference constructions of conftest field by field, key order included.
 
 
 def assert_matches_reference(aut):
-    """Every observer and product the verifiers build from ``aut``."""
+    """Every observer and product the verifiers search from ``aut``."""
     structures = Structures(aut)
     gdss, ghat = structures.gdss, structures.ghat
-    for source, observer in ((aut, structures.estimates), (gdss, structures.observer)):
+    estimates = render_observer(structures.estimates_search)
+    iso_observer = render_observer(structures.iso_observer_search)
+    for source, observer in ((aut, estimates), (gdss, structures.observer)):
         assert_same_observer(observer, reference_observer(source))
         assert_same_observer(build_observer(source), observer)
     assert_same_observer(build_observer(ghat), reference_observer(ghat))
     restarted = replace(aut, initial_states=aut.non_secret_initials)
-    assert_same_observer(structures.iso_observer, reference_observer(restarted))
+    assert_same_observer(iso_observer, reference_observer(restarted))
     for left, observer in (
         (aut, structures.observer),
         (ghat, structures.observer),
-        (ghat, structures.iso_observer),
-        (aut, structures.estimates),
+        (ghat, iso_observer),
+        (aut, estimates),
     ):
         assert_same_cc(build_cc(left, observer), reference_cc(left, observer))
-
-
-def chain(length, event_of):
-    """States c00, c01, ... in a line; step i is labelled ``event_of(i)``.
-    ``u`` is silent, every other event observable."""
-    names = [f"c{i:02d}" for i in range(length)]
-    transitions = [(names[i], event_of(i), names[i + 1]) for i in range(length - 1)]
-    events = sorted({e for _, e, _ in transitions})
-    return names, transitions, [(e, e != "u") for e in events]
 
 
 class TestMatchesReference:
@@ -561,8 +456,8 @@ class TestMatchesReference:
         )
         obs = build_observer(aut)
         assert obs.initial == frozenset("pq")
-        assert obs.step(frozenset("pq"), "a") == frozenset("rs")
-        assert obs.step(frozenset("rs"), "a") == frozenset("pq")
+        assert step(obs, frozenset("pq"), "a") == frozenset("rs")
+        assert step(obs, frozenset("rs"), "a") == frozenset("pq")
         assert_matches_reference(aut)
 
     def test_event_missing_from_a_subset(self):
@@ -573,9 +468,9 @@ class TestMatchesReference:
             initial_states=["p"],
         )
         obs = build_observer(aut)
-        assert obs.step(frozenset("p"), "b") is None
+        assert step(obs, frozenset("p"), "b") is None
         assert (frozenset("p"), "b") not in obs.transitions
-        assert obs.step(frozenset("q"), "a") is None
+        assert step(obs, frozenset("q"), "a") is None
         assert_matches_reference(aut)
 
     def test_no_initial_state(self):
@@ -607,7 +502,7 @@ class TestMatchesReference:
         aut = validate(names, events + [("a", True)], transitions + [("c69", "a", "c00")], ["c00"])
         obs = build_observer(aut)
         assert obs.initial == frozenset(names)
-        assert obs.step(obs.initial, "a") == obs.initial
+        assert step(obs, obs.initial, "a") == obs.initial
         assert_matches_reference(aut)
 
     def test_declared_observable_event_without_transitions(self):

@@ -13,6 +13,7 @@ from opacheck import (
 from opacheck.generate import fuzz_instances
 from opacheck.oracle import (
     MalformedWitness,
+    _adjacency,
     _fold_estimates,
     oracle_cso,
     oracle_inf_sso,
@@ -22,7 +23,7 @@ from opacheck.oracle import (
 )
 from opacheck.verifiers import PROPERTIES
 
-from conftest import EXPECTED_VERDICTS, FIXTURE_NAMES, load_fixture
+from conftest import EXPECTED_VERDICTS, FIXTURE_NAMES, load_fixture, step
 
 ORACLES = {
     "CSO": oracle_cso,
@@ -78,7 +79,7 @@ def test_safe_set_matches_exhaustive_run_enumeration():
             project(aut, run.events) for run in enumerate_runs(aut, max_obs_len)
         }
         for observation in sorted(obs for obs in observations if len(obs) <= max_obs_len):
-            _, safe, _ = _fold_estimates(aut, observation)
+            _, safe, _ = _fold_estimates(aut, _adjacency(aut), observation)
             assert safe == frozenset(endpoints_by_obs.get(observation, set())), (
                 f"{label} {observation}"
             )
@@ -94,10 +95,10 @@ def test_reach_trajectory_matches_estimate_automaton():
         for _ in range(3):
             nxt = []
             for observation, subset in frontier:
-                reach, _, _ = _fold_estimates(aut, observation)
+                reach, _, _ = _fold_estimates(aut, _adjacency(aut), observation)
                 assert reach == subset, label
                 for event in estimates.alphabet:
-                    successor = estimates.step(subset, event)
+                    successor = step(estimates, subset, event)
                     if successor is not None:
                         nxt.append((observation + (event,), successor))
             frontier = nxt

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from opacheck import (
+    Run,
     build_cc,
     build_gdss,
     build_ghat,
@@ -19,25 +20,23 @@ from opacheck import (
     validate,
     Witness,
 )
-from opacheck.constructions import CCAutomaton, CCState, ObserverAutomaton
+from opacheck.constructions import CCAutomaton, CCState, ObserverAutomaton, render_observer
 from opacheck.generate import IMPLICATIONS, fuzz_instances
 from opacheck.model import AllStatesSecretWarning
-from opacheck.oracle import _fold_estimates
-from opacheck.verifiers import (
-    PROPERTIES,
-    Structures,
-    Verdict,
-    _estimate_witness,
-    extract_witness,
-    verdict_record,
-)
+from opacheck.oracle import _adjacency, _fold_estimates
+from opacheck.verifiers import PROPERTIES, Structures, Verdict, _realize_observation, verdict_record
 
-from conftest import EXPECTED_VERDICTS, FIXTURE_NAMES, fixture_path, load_fixture
-from test_constructions import (
+from conftest import (
+    EXPECTED_VERDICTS,
+    FIXTURE_NAMES,
     assert_same_observer,
     chain_instances,
+    fixture_path,
     larger_instances,
+    load_fixture,
     random_instances,
+    reference_cc,
+    reference_observer,
 )
 
 
@@ -90,7 +89,7 @@ def test_siso_witness_details(siso_neg):
     # shorter witness exists.
     for run in enumerate_runs(build_ghat(siso_neg), len(witness.event_sequence) - 1):
         observation = project(siso_neg, run.events)
-        _, safe, _ = _fold_estimates(siso_neg, observation)
+        _, safe, _ = _fold_estimates(siso_neg, _adjacency(siso_neg), observation)
         assert safe, run
 
 
@@ -152,7 +151,7 @@ def test_iso_witness(siso_neg):
     assert replay_witness(siso_neg, witness, "ISO")
 
 
-# property -> stats prefix -> the Structures attribute it sizes
+# property -> stats prefix -> the reference structure it sizes
 SIZED = {
     "CSO": {"estimate": "estimates"},
     "ISO": {"ghat": "ghat", "observer": "iso_observer", "product": "cc_iso"},
@@ -168,17 +167,12 @@ def test_stats_report_structure_sizes(scso_pos):
     assert stats["observer_states"] == 3
     assert stats["product_states"] == 7
     # The decider never builds the labelled structures; its sizes must
-    # still be theirs, which is what exported node and edge counts show.
+    # still be those of the reference constructions.
     for aut in random_instances(200) + larger_instances():
         verdicts = check_all(aut)
-        structures = Structures(aut)
-        for prop, sized in SIZED.items():
-            expected = {}
-            for prefix, name in sized.items():
-                structure = getattr(structures, name)
-                expected[f"{prefix}_states"] = len(structure.states)
-                expected[f"{prefix}_transitions"] = len(structure.transitions)
-            assert dict(verdicts[prop].stats) == expected, prop
+        built = reference_structures(aut)
+        for prop in SIZED:
+            assert dict(verdicts[prop].stats) == reference_stats(built, prop), prop
 
 
 def test_verdicts_are_deterministic():
@@ -221,23 +215,67 @@ def test_incomparability_witnessed_by_fixtures(iso_not_siso, siso_not_scso):
 #
 # The decider as first written on the labelled structures: the first bad
 # state of a structure's breadth-first tree, sizes from its states and
-# counted arcs, and witnesses read off the labelled trees.
+# counted arcs, and witnesses read off the labelled trees.  The observers
+# and products are the reference constructions of conftest.
 
 
-def reference_check_all(g):
+def reference_structures(g):
     gdss, ghat = build_gdss(g), build_ghat(g)
-    observer = build_observer(gdss)
-    iso_observer = build_observer(replace(g, initial_states=g.non_secret_initials))
-    built = {
+    observer = reference_observer(gdss)
+    iso_observer = reference_observer(replace(g, initial_states=g.non_secret_initials))
+    return {
         "gdss": gdss,
         "ghat": ghat,
         "observer": observer,
         "iso_observer": iso_observer,
-        "estimates": build_observer(g),
-        "cc": build_cc(g, observer),
-        "cc_hat": build_cc(ghat, observer),
-        "cc_iso": build_cc(ghat, iso_observer),
+        "estimates": reference_observer(g),
+        "cc": reference_cc(g, observer),
+        "cc_hat": reference_cc(ghat, observer),
+        "cc_iso": reference_cc(ghat, iso_observer),
     }
+
+
+def reference_stats(built, prop):
+    stats = {}
+    for prefix, name in SIZED[prop].items():
+        structure = built[name]
+        stats[f"{prefix}_states"] = len(structure.states)
+        arcs = structure.arcs.values() if isinstance(structure, CCAutomaton) else [structure.transitions]
+        stats[f"{prefix}_transitions"] = sum(map(len, arcs))
+    return stats
+
+
+def tree_path(parents, node):
+    """The root above ``node`` in a labelled breadth-first tree and the
+    (label, node) steps from it down to ``node``."""
+    steps = []
+    while parents[node] is not None:
+        parent, label = parents[node]
+        steps.append((label, node))
+        node = parent
+    return node, steps[::-1]
+
+
+def reference_product_witness(cc, offending):
+    """The tree path to ``offending`` in a labelled product."""
+    start, steps = tree_path(cc.parents, offending)
+    events = tuple(pair[0] for pair, _ in steps)
+    observation = tuple(pair[1] for pair, _ in steps if pair[1] is not None)
+    run = Run(start.left, tuple((pair[0], dst.left) for pair, dst in steps))
+    return Witness(events, observation, offending, run)
+
+
+def reference_estimate_witness(g, estimates, offending):
+    """The observation on the tree path to the estimate ``offending``,
+    realized by a shortest run of ``g``."""
+    _, steps = tree_path(estimates.parents, offending)
+    observation = tuple(event for event, _ in steps)
+    run = _realize_observation(g, observation)
+    return Witness(run.events, observation, offending, run)
+
+
+def reference_check_all(g):
+    built = reference_structures(g)
     collapsed = lambda state: state.right is None
     decided_on = {
         "CSO": ("estimates", lambda q: q <= g.secret_states),
@@ -248,21 +286,15 @@ def reference_check_all(g):
     }
     verdicts = {}
     for prop, (name, bad) in decided_on.items():
-        stats = {}
-        for prefix, sized in SIZED[prop].items():
-            structure = built[sized]
-            stats[f"{prefix}_states"] = len(structure.states)
-            arcs = structure.arcs.values() if isinstance(structure, CCAutomaton) else [structure.transitions]
-            stats[f"{prefix}_transitions"] = sum(map(len, arcs))
         structure = built[name]
         offending = next(filter(bad, structure.parents), None)
         found = None
         if offending is not None:
             if isinstance(structure, CCAutomaton):
-                found = extract_witness(structure, offending)
+                found = reference_product_witness(structure, offending)
             else:
-                found = _estimate_witness(g, structure, offending)
-        verdicts[prop] = Verdict(prop, offending is None, found, stats)
+                found = reference_estimate_witness(g, structure, offending)
+        verdicts[prop] = Verdict(prop, offending is None, found, reference_stats(built, prop))
     return verdicts
 
 
@@ -319,7 +351,7 @@ def test_iso_observer_is_the_estimates_when_the_starts_close_alike():
         assert (structures.iso_observer_search is structures.estimates_search) is alike
         shared += alike
         restarted = replace(aut, initial_states=aut.non_secret_initials)
-        assert_same_observer(structures.iso_observer, build_observer(restarted))
+        assert_same_observer(render_observer(structures.iso_observer_search), build_observer(restarted))
     assert 0 < shared < len(automata)
 
 
