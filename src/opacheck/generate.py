@@ -88,13 +88,7 @@ def fuzz_automaton(base_seed: int, index: int, max_states: int = 6, max_events: 
     )
 
 
-_ORACLES = {
-    "CSO": oracle_mod.oracle_cso,
-    "ISO": oracle_mod.oracle_iso,
-    "SCSO": oracle_mod.oracle_scso,
-    "SISO": oracle_mod.oracle_siso,
-    "INF_SSO": oracle_mod.oracle_inf_sso,
-}
+_ORACLES = {prop: getattr(oracle_mod, f"oracle_{prop.lower()}") for prop in PROPERTIES}
 
 # (premise, conclusion) pairs that must hold on every instance.
 IMPLICATIONS = (("SCSO", "CSO"), ("SISO", "ISO"), ("INF_SSO", "SCSO"))

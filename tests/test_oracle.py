@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from opacheck import (
+    Automaton,
     Run,
     Witness,
     build_observer,
@@ -12,9 +15,10 @@ from opacheck import (
 )
 from opacheck.generate import fuzz_instances
 from opacheck.oracle import (
+    _SHAPES,
     MalformedWitness,
     _adjacency,
-    _fold_estimates,
+    _fold,
     oracle_cso,
     oracle_inf_sso,
     oracle_iso,
@@ -57,6 +61,62 @@ def test_agreement_with_verifiers_on_fuzzed_instances():
             assert ORACLES[prop](aut) is verdicts[prop].holds, f"{label} {prop}"
 
 
+def test_no_initial_state_holds_vacuously():
+    # With no initial state the system has no run to reveal anything.
+    for secret in ([], ["q"], ["p", "q"]):
+        aut = Automaton.build(
+            ["p", "q"], ["a", "u"], ["a"], [("p", "a", "q"), ("q", "u", "p")], [], secret
+        )
+        verdicts = check_all(aut)
+        for prop in PROPERTIES:
+            assert ORACLES[prop](aut) is verdicts[prop].holds is True, f"{secret} {prop}"
+
+
+def built_automaton(rng):
+    """An automaton made by ``Automaton.build`` without validation: its
+    initial subset is random and may be empty, and unreachable states
+    are kept."""
+    states = [f"x{i}" for i in range(rng.randint(1, 5))]
+    events = ["a", "b", "u"][: rng.randint(1, 3)]
+    transitions = [
+        (rng.choice(states), rng.choice(events), rng.choice(states))
+        for _ in range(rng.randint(0, 2 * len(states)))
+    ]
+    return Automaton.build(
+        states,
+        events,
+        [e for e in events if rng.random() < 0.6],
+        transitions,
+        [s for s in states if rng.random() < 0.3],
+        [s for s in states if rng.random() < 0.4],
+    )
+
+
+def test_agreement_on_directly_built_automata():
+    rng = random.Random(4242)
+    empty_starts = 0
+    for index in range(300):
+        aut = built_automaton(rng)
+        empty_starts += not aut.initial_states
+        verdicts = check_all(aut, witness=True)
+        for prop, verdict in verdicts.items():
+            assert ORACLES[prop](aut) is verdict.holds, f"{index} {prop}"
+            if not verdict.holds:
+                assert replay_witness(aut, verdict.witness, prop), f"{index} {prop}"
+    assert empty_starts > 0
+
+
+def test_runs_of_opaque_systems_do_not_replay_as_violations():
+    # The search and replay read one table: a run that replays as a
+    # violation would be a violating pair the search has to reach.
+    for label, aut in fuzz_instances(60, 4, seed=6061):
+        holding = [prop for prop in PROPERTIES if ORACLES[prop](aut)]
+        for run in enumerate_runs(aut, 5):
+            witness = Witness(run.events, project(aut, run.events), None, run)
+            for prop in holding:
+                assert replay_witness(aut, witness, prop) is False, f"{label} {prop} {run}"
+
+
 def test_inf_sso_implies_scso_on_fuzzed_instances():
     for label, aut in fuzz_instances(250, 6, seed=27182):
         assert not (oracle_inf_sso(aut) and not oracle_scso(aut)), label
@@ -79,7 +139,7 @@ def test_safe_set_matches_exhaustive_run_enumeration():
             project(aut, run.events) for run in enumerate_runs(aut, max_obs_len)
         }
         for observation in sorted(obs for obs in observations if len(obs) <= max_obs_len):
-            _, safe, _ = _fold_estimates(aut, _adjacency(aut), observation)
+            _, safe = _fold(aut, _adjacency(aut), _SHAPES["SCSO"], observation)
             assert safe == frozenset(endpoints_by_obs.get(observation, set())), (
                 f"{label} {observation}"
             )
@@ -95,7 +155,7 @@ def test_reach_trajectory_matches_estimate_automaton():
         for _ in range(3):
             nxt = []
             for observation, subset in frontier:
-                reach, _, _ = _fold_estimates(aut, _adjacency(aut), observation)
+                reach, _ = _fold(aut, _adjacency(aut), _SHAPES["CSO"], observation)
                 assert reach == subset, label
                 for event in estimates.alphabet:
                     successor = step(estimates, subset, event)

@@ -23,7 +23,7 @@ from opacheck import (
 from opacheck.constructions import CCAutomaton, CCState, ObserverAutomaton, render_observer
 from opacheck.generate import IMPLICATIONS, fuzz_instances
 from opacheck.model import AllStatesSecretWarning
-from opacheck.oracle import _adjacency, _fold_estimates
+from opacheck.oracle import _SHAPES, _adjacency, _fold
 from opacheck.verifiers import PROPERTIES, Structures, Verdict, _realize_observation, verdict_record
 
 from conftest import (
@@ -89,7 +89,7 @@ def test_siso_witness_details(siso_neg):
     # shorter witness exists.
     for run in enumerate_runs(build_ghat(siso_neg), len(witness.event_sequence) - 1):
         observation = project(siso_neg, run.events)
-        _, safe, _ = _fold_estimates(siso_neg, _adjacency(siso_neg), observation)
+        _, safe = _fold(siso_neg, _adjacency(siso_neg), _SHAPES["SISO"], observation)
         assert safe, run
 
 
