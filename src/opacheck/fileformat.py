@@ -42,10 +42,10 @@ FormatError = ValidationError
 class AutomatonDocument:
     """Structured form of an automaton file.
 
-    Construction rejects what :func:`check_description` rejects (bad
-    names, repeated entries, undeclared references) and canonicalizes
-    (sorts) all lists, so any two documents describing the same
-    automaton compare equal.
+    Construction rejects what :func:`~opacheck.model.validate` rejects
+    before pruning (malformed entries, bad names, repeated entries,
+    undeclared references) and canonicalizes (sorts) all lists, so any
+    two documents describing the same automaton compare equal.
     """
 
     format_version: int

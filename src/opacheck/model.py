@@ -280,8 +280,10 @@ def validate(
     states are all secret is accepted with an
     :class:`AllStatesSecretWarning`.
 
-    Raises :class:`ValidationError` for anything :func:`check_description`
-    rejects and for an empty state set (possibly after pruning).
+    Raises :class:`ValidationError` for a transition that is not a
+    triple or an event that is not a pair, for anything
+    :func:`check_description` rejects, and for an empty state set
+    (possibly after pruning).
     """
     return _assemble(*_checked(states, events, transitions, initial_states, secret_states))
 
@@ -291,13 +293,28 @@ def _checked(states, events, transitions, initial, secret) -> tuple[tuple, ...]:
     as bools, names as given), after :func:`check_description` passed them."""
     groups = (
         tuple(states),
-        tuple((name, bool(flag)) for name, flag in events),
-        tuple(tuple(t) for t in transitions),
+        tuple((name, bool(flag)) for name, flag in _sized(events, 2, "event", "a (name, flag) pair")),
+        _sized(transitions, 3, "transition", "a (source, event, target) triple"),
         tuple(initial),
         tuple(secret),
     )
     check_description(*([(entry, None) for entry in group] for group in groups))
     return groups
+
+
+def _sized(entries: Iterable, size: int, kind: str, shape: str) -> tuple[tuple, ...]:
+    """``entries`` as tuples of ``size`` items each; a string is one
+    malformed entry, not a sequence of names."""
+    sized = []
+    for entry in entries:
+        try:
+            items = tuple(entry)
+        except TypeError:  # not iterable
+            items = ()
+        if len(items) != size or isinstance(entry, str):
+            raise ValidationError(f"bad {kind} {entry!r}: must be {shape}")
+        sized.append(items)
+    return tuple(sized)
 
 
 def _assemble(states, events, transitions, initial, secret) -> Automaton:

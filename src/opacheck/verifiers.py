@@ -1,17 +1,18 @@
 """Deciders for the five opacity properties, with witness extraction.
 
-Every property is decided the same way: a structure built from the
-system reaches a bad state exactly when the property fails.  ``_SPECS``
-gives, per property, that structure, the structures whose sizes go in
-the verdict's stats, and which of its states are bad.  The strong
-properties are decided on products with the observer of the non-secret
-core, where bad means a collapsed estimate (for strong current-state
-opacity, with a secret left component); standard current-state opacity
-on the estimate automaton of the full system, where bad means an
-estimate inside the secret set; standard initial-state opacity on the
-product of the secret-start part with the observer of the system
-restarted at its non-secret initial states.  :class:`Structures` builds
-each structure on first use, so properties decided together share it.
+Each property has one shape: every run of one kind must have an
+observation-equivalent run of another kind.  ``_SPECS`` gives it as one
+row: the initial states the first kind's runs start from, whose runs the
+observer follows (the non-secret core's or the system's) and from which
+initial states, and whether a bad state must have a secret left state.
+The property fails exactly when the product of the system, started at
+the row's start, with the row's observer reaches a bad state: a
+collapsed estimate (for strong current-state opacity, with a secret left
+state).  Standard current-state opacity has no product: it is decided
+on the system's estimate automaton, where bad means an estimate inside
+the secret set.  A verdict's stats are the sizes of what its row names.
+:class:`Structures` builds each observer and product on first use, so
+properties decided together share it.
 
 The decider runs on the int-keyed structures of
 :mod:`~opacheck.constructions`: estimates are bit masks, product states
@@ -33,7 +34,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Hashable, Iterable, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .constructions import (
     CCAutomaton,
@@ -112,22 +113,44 @@ def verdict_record(verdict: Verdict) -> dict:
     }
 
 
+class _Spec(NamedTuple):
+    """One property's row: its product, its observer and its bad test."""
+
+    start: "str | None"  # g's attribute naming the product's left start; None for CSO
+    core: bool  # the observer is that of the non-secret core, not of g
+    observed_from: str  # g's attribute naming the observer's initial states
+    secret_only: bool  # a collapsed state is bad only when its left state is secret
+
+
+_SPECS = {
+    CSO: _Spec(None, False, "initial_states", False),
+    ISO: _Spec("secret_initials", False, "non_secret_initials", False),
+    SCSO: _Spec("initial_states", True, "non_secret_initials", True),
+    SISO: _Spec("secret_initials", True, "non_secret_initials", False),
+    INF_SSO: _Spec("initial_states", True, "non_secret_initials", False),
+}
+
+
 class Structures:
     """The structures the properties are decided on, each built from the
     system ``g`` on first use and shared from then on.
 
-    The decider reads the observer searches (``*observer_search``,
-    ``estimates_search``) and the product counts (``cc*_count``) for
-    sizes and verdicts, and walks a product (``cc*_search``) only as far
-    as its first bad state, for a witness.  The labelled attributes
-    (``gdss``, ``ghat``, ``observer``, ``cc``, ``cc_hat``) are the
-    structures ``export --structure`` names; the observer and products
-    among them are rendered from the searches on first access, and
-    rendering a product walks it to the end and never counts it.
+    The decider reads an observer search (:meth:`observer_search`) and a
+    row's product count (:meth:`count`) for sizes and verdicts, and walks
+    the row's product (:meth:`walk`) only as far as its first bad state,
+    for a witness.  Products are counted and walked on g's own tables:
+    ``Ĝ`` keeps every arc out of the states it reaches, so its products
+    are g's started at the secret initial states.  The labelled
+    attributes (``gdss``, ``ghat``, ``observer``, ``cc``, ``cc_hat``) are
+    the structures ``export --structure`` names; the observer and
+    products among them are rendered from the searches on first access,
+    and rendering a product walks it to the end and never counts it.
     """
 
     def __init__(self, g: Automaton):
         self.g = g
+        self._observers: dict[tuple[bool, int], ObserverSearch] = {}
+        self._products: dict[tuple, "ProductCount | ProductSearch"] = {}
 
     @cached_property
     def gdss(self) -> Automaton:
@@ -137,147 +160,82 @@ class Structures:
     def ghat(self) -> Automaton:
         return build_ghat(self.g)
 
-    @cached_property
-    def observer_search(self) -> ObserverSearch:
-        """Observer of the non-secret core."""
-        return search_observer(self.gdss)
+    def observer_search(self, core: bool, start: Iterable[str]) -> ObserverSearch:
+        """The observer of the non-secret core (``core``) or of g, started
+        at the closure of ``start``.  Starts that close alike share one
+        search, so ISO's observer is the estimate automaton whenever the
+        non-secret initial states close to the initial estimate."""
+        source = self.gdss if core else self.g
+        key = (core, source._closed_images.closure(start))
+        if key not in self._observers:
+            self._observers[key] = search_observer(source, start)
+        return self._observers[key]
 
-    @cached_property
-    def estimates_search(self) -> ObserverSearch:
-        """Estimate automaton of the full system."""
-        return search_observer(self.g)
+    def count(self, spec: _Spec) -> ProductCount:
+        return self._product(count_product, spec)
 
-    @cached_property
-    def iso_observer_search(self) -> ObserverSearch:
-        """Observer of the system restarted at its non-secret initial
-        states: the estimate automaton itself when those close to the
-        same initial estimate as all initial states do."""
-        g = self.g
-        tables = g._closed_images
-        if tables.closure(g.non_secret_initials) == tables.closure(g.initial_states):
-            return self.estimates_search
-        return search_observer(g, g.non_secret_initials)
+    def walk(self, spec: _Spec) -> ProductSearch:
+        return self._product(search_product, spec)
 
-    @cached_property
-    def ghat_size(self) -> tuple[int, int]:
-        """(states, transitions) of ``ghat``, without building it: its
-        states are the left states of the secret-start product, whatever
-        the observer, and it keeps every arc out of them."""
-        reach = self.cc_hat_count.left
-        degree = self.g._closed_images.degree
-        return reach.bit_count(), sum([degree[i] for i in _bits(reach)])
-
-    # ghat keeps every arc out of the states it reaches, so its products
-    # are counted and walked on g's own tables, started at the secret
-    # initial states.  They are rendered on ghat, whose events and secret
-    # states label the product.
-
-    @cached_property
-    def cc_count(self) -> ProductCount:
-        return _count(self.g, self.g.initial_states, self.observer_search)
-
-    @cached_property
-    def cc_hat_count(self) -> ProductCount:
-        return _count(self.g, self.g.secret_initials, self.observer_search)
-
-    @cached_property
-    def cc_iso_count(self) -> ProductCount:
-        return _count(self.g, self.g.secret_initials, self.iso_observer_search)
-
-    @cached_property
-    def cc_search(self) -> ProductSearch:
-        return _product(self.g, self.g.initial_states, self.observer_search)
-
-    @cached_property
-    def cc_hat_search(self) -> ProductSearch:
-        return _product(self.g, self.g.secret_initials, self.observer_search)
-
-    @cached_property
-    def cc_iso_search(self) -> ProductSearch:
-        return _product(self.g, self.g.secret_initials, self.iso_observer_search)
+    def _product(self, make, spec: _Spec):
+        """``make`` (count or walk) of the row's product, once per
+        product: SCSO and INF_SSO share theirs."""
+        key = (make, spec.start, spec.core, spec.observed_from)
+        if key not in self._products:
+            g = self.g
+            obs = self.observer_search(spec.core, getattr(g, spec.observed_from))
+            self._products[key] = make(g, getattr(g, spec.start), obs.initial, obs.steps)
+        return self._products[key]
 
     @cached_property
     def observer(self) -> ObserverAutomaton:
-        return render_observer(self.observer_search)
+        return render_observer(self.observer_search(True, self.g.non_secret_initials))
 
     @cached_property
     def cc(self) -> CCAutomaton:
-        return render_cc(self.cc_search, self.observer)
+        return render_cc(self.walk(_SPECS[INF_SSO]), self.observer)
 
     @cached_property
     def cc_hat(self) -> CCAutomaton:
-        return render_cc(_product(self.ghat, self.ghat.initial_states, self.observer_search), self.observer)
-
-
-def _count(left: Automaton, roots: Iterable[str], obs: ObserverSearch) -> ProductCount:
-    return count_product(left, roots, obs.initial, obs.steps)
-
-
-def _product(left: Automaton, roots: Iterable[str], obs: ObserverSearch) -> ProductSearch:
-    return search_product(left, roots, obs.initial, obs.steps)
-
-
-# property -> (structures sized in stats, and for a property decided on a
-# product: its count, its walk, and whether a collapsed state is bad only
-# with a secret left state).  CSO is decided on the estimate automaton.
-_SPECS: dict[str, tuple[tuple[str, ...], "tuple[str, str, bool] | None"]] = {
-    CSO: (("estimates_search",), None),
-    ISO: (
-        ("ghat_size", "iso_observer_search", "cc_iso_count"),
-        ("cc_iso_count", "cc_iso_search", False),
-    ),
-    SCSO: (("gdss", "observer_search", "cc_count"), ("cc_count", "cc_search", True)),
-    SISO: (
-        ("gdss", "ghat_size", "observer_search", "cc_hat_count"),
-        ("cc_hat_count", "cc_hat_search", False),
-    ),
-    INF_SSO: (("gdss", "observer_search", "cc_count"), ("cc_count", "cc_search", False)),
-}
-
-# Stats key prefix of each structure.
-_STATS_PREFIX = {
-    "gdss": "gdss",
-    "ghat_size": "ghat",
-    "observer_search": "observer",
-    "iso_observer_search": "observer",
-    "estimates_search": "estimate",
-    "cc_count": "product",
-    "cc_hat_count": "product",
-    "cc_iso_count": "product",
-}
-
-
-def _size(structure: "Automaton | ObserverSearch | ProductCount | tuple[int, int]") -> tuple[int, int]:
-    if isinstance(structure, Automaton):
-        return len(structure.states), len(structure.transitions)
-    if isinstance(structure, (ObserverSearch, ProductCount)):
-        return structure.size
-    return structure
+        # Rendered on ghat, whose events and secret states label the product.
+        obs = self.observer_search(True, self.g.non_secret_initials)
+        walk = search_product(self.ghat, self.ghat.initial_states, obs.initial, obs.steps)
+        return render_cc(walk, self.observer)
 
 
 def _decide(structures: Structures, prop: str, witness: bool) -> Verdict:
     try:
-        sized, product = _SPECS[prop]
+        spec = _SPECS[prop]
     except KeyError:
         raise ValueError(f"unknown property: {prop!r}") from None
-    stats = {}
-    for name in sized:
-        prefix = _STATS_PREFIX[name]
-        stats[f"{prefix}_states"], stats[f"{prefix}_transitions"] = _size(getattr(structures, name))
     g = structures.g
+    secret = g._closed_images.secret
+    observer = structures.observer_search(spec.core, getattr(g, spec.observed_from))
+    stats = {}
+    if spec.core:
+        gdss = structures.gdss
+        stats["gdss_states"], stats["gdss_transitions"] = len(gdss.states), len(gdss.transitions)
     found = None
-    if product is None:
-        search = structures.estimates_search
-        offending = search.first_within(g._closed_images.secret)
+    if spec.start is None:
+        stats["estimate_states"], stats["estimate_transitions"] = observer.size
+        offending = observer.first_within(secret)
         if witness and offending is not None:
-            found = _observation_witness(search, offending)
+            found = _observation_witness(observer, offending)
         return Verdict(prop, offending is None, found, stats)
-    counted, walked, secret_only = product
-    bad = getattr(structures, counted).collapsed  # left states of the bad states
-    if secret_only:
-        bad &= g._closed_images.secret  # every product's left automaton is g
+    count = structures.count(spec)
+    if spec.start == "secret_initials":
+        # ghat's states are the left states of this product, whatever the
+        # observer, and ghat keeps every arc out of them.
+        degree = g._closed_images.degree
+        stats["ghat_states"] = count.left.bit_count()
+        stats["ghat_transitions"] = sum([degree[i] for i in _bits(count.left)])
+    stats["observer_states"], stats["observer_transitions"] = observer.size
+    stats["product_states"], stats["product_transitions"] = count.size
+    bad = count.collapsed  # left states of the collapsed product states
+    if spec.secret_only:
+        bad &= secret  # every product's left automaton is g
     if witness and bad:
-        search = getattr(structures, walked)
+        search = structures.walk(spec)
         found = _product_witness(search, search.first_collapsed(bad))
     return Verdict(prop, not bad, found, stats)
 

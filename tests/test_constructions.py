@@ -15,7 +15,7 @@ from opacheck import (
 )
 from opacheck.constructions import CCState, count_product, render_observer, search_product
 from opacheck.model import AllStatesSecretWarning
-from opacheck.verifiers import Structures
+from opacheck.verifiers import _SPECS, Structures, check_all
 
 from conftest import (
     assert_same_cc,
@@ -414,8 +414,8 @@ def assert_matches_reference(aut):
     """Every observer and product the verifiers search from ``aut``."""
     structures = Structures(aut)
     gdss, ghat = structures.gdss, structures.ghat
-    estimates = render_observer(structures.estimates_search)
-    iso_observer = render_observer(structures.iso_observer_search)
+    estimates = render_observer(structures.observer_search(False, aut.initial_states))
+    iso_observer = render_observer(structures.observer_search(False, aut.non_secret_initials))
     for source, observer in ((aut, estimates), (gdss, structures.observer)):
         assert_same_observer(observer, reference_observer(source))
         assert_same_observer(build_observer(source), observer)
@@ -535,12 +535,10 @@ def assert_count_matches_walk(aut):
     same products on ghat."""
     structures = Structures(aut)
     ghat = structures.ghat
-    for left, obs in (
-        (aut, structures.observer_search),
-        (ghat, structures.observer_search),
-        (ghat, structures.iso_observer_search),
-        (aut, structures.estimates_search),
-    ):
+    core = structures.observer_search(True, aut.non_secret_initials)
+    iso_observer = structures.observer_search(False, aut.non_secret_initials)
+    estimates = structures.observer_search(False, aut.initial_states)
+    for left, obs in ((aut, core), (ghat, core), (ghat, iso_observer), (aut, estimates)):
         count = count_product(left, left.initial_states, obs.initial, obs.steps)
         walk = search_product(left, left.initial_states, obs.initial, obs.steps)
         walk.drain()
@@ -550,7 +548,7 @@ def assert_count_matches_walk(aut):
         assert count.collapsed == sum(1 << key for key in walk.collapsed)
         assert count.left == sum(1 << left.states.index(x) for x in {walk.left_of(k) for k in walk.parents})
     roots = aut.initial_states & aut.secret_states
-    for obs in (structures.observer_search, structures.iso_observer_search):
+    for obs in (core, iso_observer):
         on_g = count_product(aut, roots, obs.initial, obs.steps)
         on_ghat = count_product(ghat, ghat.initial_states, obs.initial, obs.steps)
         assert on_g.size == on_ghat.size
@@ -568,7 +566,9 @@ def assert_count_matches_walk(aut):
                 [(label(key), link and (label(link[0]), link[1])) for key, link in walk.parents.items()]
             )
         assert order[0] == order[1]
-    assert structures.ghat_size == (len(ghat.states), len(ghat.transitions))
+    ghat_size = (len(ghat.states), len(ghat.transitions))
+    for verdict in check_all(aut, properties=("ISO", "SISO")).values():
+        assert (verdict.stats["ghat_states"], verdict.stats["ghat_transitions"]) == ghat_size
 
 
 class TestCountMatchesWalk:
@@ -622,8 +622,8 @@ class TestCountMatchesWalk:
             secret_states=["s"],
         )
         structures = Structures(aut)
-        assert structures.observer_search.alphabet == ("a",)
+        assert structures.observer_search(True, aut.non_secret_initials).alphabet == ("a",)
         assert structures.ghat.states == ()
-        assert structures.cc_count.collapsed == 1 << aut.states.index("s")
-        assert structures.cc_hat_count == (0, 0, 0, 0)
+        assert structures.count(_SPECS["SCSO"]).collapsed == 1 << aut.states.index("s")
+        assert structures.count(_SPECS["SISO"]) == (0, 0, 0, 0)
         assert_count_matches_walk(aut)

@@ -170,8 +170,11 @@ class TestDocument:
             (("a",), ((1, True),), (), ("a",), "bad event name 1"),
             # Any 3-element sequence is a transition.
             (("a",), (("e", True),), (["a", "e", "a"],), ("a",), None),
+            # Entries of another length are rejected with a message.
+            (("a",), (("e", True),), (("a", "e"),), ("a",), "bad transition ('a', 'e')"),
+            (("a",), (("e",),), (), ("a",), "bad event ('e',)"),
         ],
-        ids=["int-event-name", "list-transition"],
+        ids=["int-event-name", "list-transition", "short-transition", "unpaired-event"],
     )
     def test_entry_shapes_match_validate(self, states, events, transitions, initial, error):
         def outcome(build):

@@ -104,6 +104,13 @@ class TestValidate:
             dict(states=["a"], events=[(2, True)], transitions=[], initial_states=["a"]),
             # A transition may be any sequence; its states are still checked.
             dict(states=["a"], events=[("e", True)], transitions=[["a", "e", "b"]], initial_states=["a"]),
+            # Transitions that are not triples, events that are not (name, flag) pairs.
+            dict(states=["a"], events=[("e", True)], transitions=[("a", "e")], initial_states=["a"]),
+            dict(states=["a"], events=[("e", True)], transitions=["aea"], initial_states=["a"]),
+            dict(states=["a"], events=[("e", True)], transitions=[7], initial_states=["a"]),
+            dict(states=["a"], events=[("e",)], transitions=[], initial_states=["a"]),
+            dict(states=["a"], events=["ef"], transitions=[], initial_states=["a"]),
+            dict(states=["a"], events=[None], transitions=[], initial_states=["a"]),
         ],
     )
     def test_rejections(self, kwargs):

@@ -348,10 +348,11 @@ def test_iso_observer_is_the_estimates_when_the_starts_close_alike():
         structures = Structures(aut)
         tables = aut._closed_images
         alike = tables.closure(aut.non_secret_initials) == tables.closure(aut.initial_states)
-        assert (structures.iso_observer_search is structures.estimates_search) is alike
+        iso_observer = structures.observer_search(False, aut.non_secret_initials)
+        assert (iso_observer is structures.observer_search(False, aut.initial_states)) is alike
         shared += alike
         restarted = replace(aut, initial_states=aut.non_secret_initials)
-        assert_same_observer(render_observer(structures.iso_observer_search), build_observer(restarted))
+        assert_same_observer(render_observer(iso_observer), build_observer(restarted))
     assert 0 < shared < len(automata)
 
 
@@ -365,6 +366,34 @@ def test_no_walk_without_witness(monkeypatch):
     monkeypatch.setattr("opacheck.verifiers.search_product", refuse)
     for aut, holds in zip(automata, expected):
         assert {p: v.holds for p, v in check_all(aut).items()} == holds
+
+
+def test_iso_and_cso_alone_build_no_core(monkeypatch):
+    """ISO and CSO are decided on observers of the system itself, so
+    decided alone neither builds the non-secret core, and ISO counts
+    its one product; their verdicts are check_all's."""
+    from opacheck import verifiers
+
+    automata = [*map(load_fixture, FIXTURE_NAMES), *random_instances(200)]
+    expected = [check_all(aut, witness=True) for aut in automata]
+
+    def refuse(g):
+        raise AssertionError("the non-secret core was built")
+
+    counted = []
+    count_product = verifiers.count_product
+
+    def counting(*args):
+        counted.append(args)
+        return count_product(*args)
+
+    monkeypatch.setattr(verifiers, "build_gdss", refuse)
+    monkeypatch.setattr(verifiers, "count_product", counting)
+    for aut, verdicts in zip(automata, expected):
+        for prop in ("ISO", "CSO"):
+            counted.clear()
+            assert verdict_record(check(aut, prop, witness=True)) == verdict_record(verdicts[prop])
+            assert len(counted) == (prop == "ISO")
 
 
 def recorded_walks(monkeypatch):
