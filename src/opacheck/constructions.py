@@ -52,15 +52,17 @@ callers of the public ``build_*`` only; a witness labels just its path.
 
 Both start the product at given left states, so the product of a part of
 an automaton that keeps every arc out of its states, such as ``Ĝ``, is
-counted and walked on the whole automaton's tables.
+counted and walked on the whole automaton's tables.  The non-secret
+core's observer is searched on the automaton's core tables, so the
+deciders build neither ``G_dss`` nor ``Ĝ``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import groupby
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .model import Automaton, _reach
@@ -232,17 +234,22 @@ class ObserverSearch:
         return next((i for i, mask in enumerate(self.masks) if i and not mask & ~within), None)
 
 
-def search_observer(src: Automaton, initial_states: "Iterable[str] | None" = None) -> ObserverSearch:
-    """Breadth-first search of the observer of ``src``, started at the
-    closure of ``initial_states`` (``src``'s own by default).
+def search_observer(
+    src: Automaton, initial_states: "Iterable[str] | None" = None, core: bool = False
+) -> ObserverSearch:
+    """Breadth-first search of the observer of ``src``, or of its
+    non-secret core (``core``), started at the closure of
+    ``initial_states`` (``src``'s own by default).
 
     No closure is searched per step: ``src`` packs, per state, the silent
     closure of each observable event's targets into one int (see
     :class:`~opacheck.model.ClosedImages`), so one OR over an estimate's
-    members steps it on every event, and a shift splits the result.
+    members steps it on every event, and a shift splits the result.  The
+    core too is searched on ``src``'s bits and whole observable alphabet;
+    its steps on an event it never uses are all 0.
     """
     alphabet = tuple(sorted(src.observable))
-    tables = src._closed_images
+    tables = src._core_images if core else src._closed_images
     packed = tables.packed
     n = len(src.states)
     full = (1 << n) - 1
@@ -320,13 +327,6 @@ def build_observer(src: Automaton) -> ObserverAutomaton:
     return render_observer(search_observer(src))
 
 
-def _observer_rows(left: Automaton, steps: Mapping[str, list[int]]) -> dict[str, list[int]]:
-    """The observer's step row of each observable event of ``left``.
-    Events outside the observer's alphabet collapse every estimate."""
-    collapse = [0] * max([2, *map(len, steps.values())])
-    return {event: steps.get(event, collapse) for event in sorted(left.observable)}
-
-
 class ProductCount(NamedTuple):
     """Sizes of a product and its collapsed states, found without
     searching it.  ``collapsed`` is the mask of the left states paired
@@ -347,8 +347,8 @@ def count_product(
     left: Automaton, roots: Iterable[str], initial: int, steps: Mapping[str, list[int]]
 ) -> ProductCount:
     """Count the product of ``left``, started at its states ``roots``,
-    with an observer given by its initial estimate number and step rows
-    (see :class:`ObserverSearch`).
+    with an observer given by its initial estimate number and a step row
+    per observable event of ``left`` (see :class:`ObserverSearch`).
 
     The product's states are the pairs (x, e) with x in L_e, one mask of
     left states per estimate e.  L_e is closed under ``left``'s silent
@@ -362,7 +362,7 @@ def count_product(
     packed, degree = tables.packed, tables.degree
     n = len(left.states)
     full = (1 << n) - 1
-    rows = list(_observer_rows(left, steps).values())
+    rows = [steps[event] for event in sorted(left.observable)]
     reached = {}  # estimate -> L_e
     root = tables.closure(roots)
     pending = {initial: root} if root else {}  # estimate -> left states to add
@@ -386,10 +386,7 @@ def count_product(
                 mask &= ~reached.get(target, 0)
                 if mask:
                     pending[target] = pending.get(target, 0) | mask
-    union = 0
-    for mask in reached.values():
-        union |= mask
-    return ProductCount(states, transitions, reached.get(0, 0), union)
+    return ProductCount(states, transitions, reached.get(0, 0), reduce(or_, reached.values(), 0))
 
 
 # Per left state, its arcs grouped by event: (event pair, the observer's
@@ -469,7 +466,8 @@ def search_product(
 ) -> ProductSearch:
     """Breadth-first search of the product of ``left``, started at its
     states ``roots``, with an observer given by its initial estimate
-    number (0 for none) and its step rows (see :class:`ObserverSearch`).
+    number (0 for none) and a step row per observable event of ``left``
+    (see :class:`ObserverSearch`).
     Nothing is walked until asked.
 
     The arcs of each left state are grouped by event once, so a product
@@ -477,14 +475,13 @@ def search_product(
     """
     names = left.states
     index = {x: i for i, x in enumerate(names)}
-    rows = _observer_rows(left, steps)
     groups: list[list[ArcGroup]] = [[] for _ in names]
     # left.transitions is sorted by (source, event, target), so each
     # group's targets and each state's groups come out in arc order.
     for (state, event), arcs_of_event in groupby(left.transitions, key=itemgetter(0, 1)):
         targets = tuple([index[t] for _, _, t in arcs_of_event])
-        if event in rows:
-            group = ((event, event), rows[event], targets)
+        if event in left.observable:
+            group = ((event, event), steps[event], targets)
         else:
             group = ((event, None), None, targets)
         groups[index[state]].append(group)
@@ -493,18 +490,27 @@ def search_product(
     return ProductSearch(left, groups, keys, parents, [], _walk(len(names), groups, parents, keys))
 
 
-def render_cc(search: ProductSearch, obs: ObserverAutomaton) -> CCAutomaton:
-    """The labelled product of a search, with estimates labelled by
-    ``obs``: the observer whose step rows the search used, so that its
-    ``parents`` lists the estimates in number order.  The search is
-    walked to the end first."""
+def build_cc(left: Automaton, obs: ObserverAutomaton) -> CCAutomaton:
+    """Synchronized product of ``left`` with an observer.
+
+    Observable events move both sides; the estimate goes to the successor
+    subset where the observer is defined and collapses to the empty
+    estimate otherwise (including events outside the observer's
+    alphabet).  Silent events move only the left side.  The empty
+    estimate is absorbing.  Only reachable product states are kept.
+    This renders :func:`search_product`, run on ``obs``'s steps with its
+    subsets numbered in ``parents`` order and walked to the end.
+    """
+    labels = (None, *obs.parents)
+    numbers = {subset: number for number, subset in enumerate(labels)}
+    steps = {event: [0] * len(labels) for event in {*obs.alphabet, *left.observable}}
+    for (subset, event), successor in obs.transitions.items():
+        steps[event][numbers[subset]] = numbers[successor]
+    search = search_product(left, left.initial_states, numbers[obs.initial], steps)
     search.drain()
-    left = search.left
     names = left.states
     n = len(names)
-    labels = (None, *obs.parents)
     # obs.states is sorted, so its order ranks the estimates; None goes first.
-    numbers = {subset: number for number, subset in enumerate(labels)}
     rank = [0] * len(labels)
     for position, subset in enumerate(obs.states, 1):
         rank[numbers[subset]] = position
@@ -540,21 +546,3 @@ def render_cc(search: ProductSearch, obs: ObserverAutomaton) -> CCAutomaton:
             for key, link in search.parents.items()
         },
     )
-
-
-def build_cc(left: Automaton, obs: ObserverAutomaton) -> CCAutomaton:
-    """Synchronized product of ``left`` with an observer.
-
-    Observable events move both sides; the estimate goes to the successor
-    subset where the observer is defined and collapses to the empty
-    estimate otherwise (including events outside the observer's
-    alphabet).  Silent events move only the left side.  The empty
-    estimate is absorbing.  Only reachable product states are kept.
-    This renders :func:`search_product`, run on ``obs``'s steps with its
-    subsets numbered in ``parents`` order.
-    """
-    numbers = {subset: number for number, subset in enumerate(obs.parents, 1)}
-    steps = {event: [0] * (len(numbers) + 1) for event in obs.alphabet}
-    for (subset, event), successor in obs.transitions.items():
-        steps[event][numbers[subset]] = numbers[successor]
-    return render_cc(search_product(left, left.initial_states, numbers.get(obs.initial, 0), steps), obs)

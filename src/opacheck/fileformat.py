@@ -84,7 +84,9 @@ _DIRECTIVES = {
 def parse(data: "bytes | str") -> AutomatonDocument:
     """Parse an automaton file; errors carry the offending line number.
 
-    A leading UTF-8 byte order mark is skipped.
+    A leading UTF-8 byte order mark is skipped.  Lines end at ``\r\n``,
+    ``\r`` or ``\n`` only, not at a form feed, U+2028 or the other
+    breaks of :meth:`str.splitlines`, which would end a comment early.
     """
     if isinstance(data, bytes):
         try:
@@ -96,7 +98,8 @@ def parse(data: "bytes | str") -> AutomatonDocument:
     groups: dict[str, list[tuple[object, int]]] = {directive: [] for directive in _DIRECTIVES}
     header_seen = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -14,26 +14,29 @@ the secret set.  A verdict's stats are the sizes of what its row names.
 :class:`Structures` builds each observer and product on first use, so
 properties decided together share it.
 
-The decider runs on the int-keyed structures of
+The decider reads only the system g, through its closure tables and
+those of its non-secret core, with the int-keyed searches of
 :mod:`~opacheck.constructions`: estimates are bit masks, product states
-are ints, and no labelled observer or product is built.  A product is
-decided by its count, which gives its exact sizes and the mask of its
-collapsed states; it is walked breadth-first only when a witness is
-asked for and a bad state exists, and the walk stops at the first bad
-state in discovery order, whose tree path is a shortest witness.  SCSO
-and INF_SSO share one walk of the same product: every SCSO-bad state is
-INF_SSO-bad, so whichever is decided second resumes the walk or finds
-its state already discovered.  Labels are made only for a witness's
-path.  The labelled structures of :class:`Structures` (``gdss``,
-``ghat``, ``observer``, ``cc``, ``cc_hat``) are the five that ``export``
-writes, rendered on request and never read by the decider.
+are ints, and no automaton but g and no labelled structure is built.  A
+product is decided by its count, which gives its exact sizes and the
+mask of its collapsed states; it is walked breadth-first only when a
+witness is asked for and a bad state exists, and the walk stops at the
+first bad state in discovery order, whose tree path is a shortest
+witness.  SCSO and INF_SSO share one walk of the same product: every
+SCSO-bad state is INF_SSO-bad, so whichever is decided second resumes
+the walk or finds its state already discovered.  A CSO witness's run is
+read off the walk of g with the automaton of its observation.  Labels
+are made only for a witness's path.  The labelled structures of
+:class:`Structures` (``gdss``, ``ghat``, ``observer``, ``cc``,
+``cc_hat``) are the five that ``export`` writes, built on request and
+never read by the decider.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, reduce
+from operator import or_
 from typing import Any, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .constructions import (
@@ -44,17 +47,17 @@ from .constructions import (
     ProductCount,
     ProductSearch,
     _bits,
+    build_cc,
     build_gdss,
     build_ghat,
     cc_label,
     count_product,
-    render_cc,
     render_observer,
     search_observer,
     search_product,
     subset_label,
 )
-from .model import Automaton, Run
+from .model import Automaton, ClosedImages, Run
 
 CSO = "CSO"
 ISO = "ISO"
@@ -138,13 +141,12 @@ class Structures:
     The decider reads an observer search (:meth:`observer_search`) and a
     row's product count (:meth:`count`) for sizes and verdicts, and walks
     the row's product (:meth:`walk`) only as far as its first bad state,
-    for a witness.  Products are counted and walked on g's own tables:
-    ``Ĝ`` keeps every arc out of the states it reaches, so its products
-    are g's started at the secret initial states.  The labelled
-    attributes (``gdss``, ``ghat``, ``observer``, ``cc``, ``cc_hat``) are
-    the structures ``export --structure`` names; the observer and
-    products among them are rendered from the searches on first access,
-    and rendering a product walks it to the end and never counts it.
+    for a witness.  All run on g's tables: the core's observer on its
+    core tables, and ``Ĝ``'s products on g's started at the secret
+    initial states, since ``Ĝ`` keeps every arc out of the states it
+    reaches.  The labelled attributes (``gdss``, ``ghat``, ``observer``,
+    ``cc``, ``cc_hat``) are the structures ``export --structure`` names,
+    built on first access and never read by the decider.
     """
 
     def __init__(self, g: Automaton):
@@ -162,13 +164,14 @@ class Structures:
 
     def observer_search(self, core: bool, start: Iterable[str]) -> ObserverSearch:
         """The observer of the non-secret core (``core``) or of g, started
-        at the closure of ``start``.  Starts that close alike share one
-        search, so ISO's observer is the estimate automaton whenever the
-        non-secret initial states close to the initial estimate."""
-        source = self.gdss if core else self.g
-        key = (core, source._closed_images.closure(start))
+        at the closure of ``start``, searched on g's tables.  Starts that
+        close alike share one search, so ISO's observer is the estimate
+        automaton whenever the non-secret initial states close to the
+        initial estimate."""
+        g = self.g
+        key = (core, (g._core_images if core else g._closed_images).closure(start))
         if key not in self._observers:
-            self._observers[key] = search_observer(source, start)
+            self._observers[key] = search_observer(g, start, core)
         return self._observers[key]
 
     def count(self, spec: _Spec) -> ProductCount:
@@ -189,18 +192,19 @@ class Structures:
 
     @cached_property
     def observer(self) -> ObserverAutomaton:
-        return render_observer(self.observer_search(True, self.g.non_secret_initials))
+        # G_dss's observable events are exactly those the core steps on.
+        search = self.observer_search(True, self.g.non_secret_initials)
+        used = tuple([event for event in search.alphabet if any(search.steps[event])])
+        return replace(render_observer(search), alphabet=used)
 
     @cached_property
     def cc(self) -> CCAutomaton:
-        return render_cc(self.walk(_SPECS[INF_SSO]), self.observer)
+        return build_cc(self.g, self.observer)
 
     @cached_property
     def cc_hat(self) -> CCAutomaton:
-        # Rendered on ghat, whose events and secret states label the product.
-        obs = self.observer_search(True, self.g.non_secret_initials)
-        walk = search_product(self.ghat, self.ghat.initial_states, obs.initial, obs.steps)
-        return render_cc(walk, self.observer)
+        # Built on ghat, whose events and secret states label the product.
+        return build_cc(self.ghat, self.observer)
 
 
 def _decide(structures: Structures, prop: str, witness: bool) -> Verdict:
@@ -213,8 +217,8 @@ def _decide(structures: Structures, prop: str, witness: bool) -> Verdict:
     observer = structures.observer_search(spec.core, getattr(g, spec.observed_from))
     stats = {}
     if spec.core:
-        gdss = structures.gdss
-        stats["gdss_states"], stats["gdss_transitions"] = len(gdss.states), len(gdss.transitions)
+        # G_dss's states are those of the core's estimates, with their core arcs.
+        stats["gdss_states"], stats["gdss_transitions"] = _extent(observer.masks, g._core_images)
     found = None
     if spec.start is None:
         stats["estimate_states"], stats["estimate_transitions"] = observer.size
@@ -226,9 +230,7 @@ def _decide(structures: Structures, prop: str, witness: bool) -> Verdict:
     if spec.start == "secret_initials":
         # ghat's states are the left states of this product, whatever the
         # observer, and ghat keeps every arc out of them.
-        degree = g._closed_images.degree
-        stats["ghat_states"] = count.left.bit_count()
-        stats["ghat_transitions"] = sum([degree[i] for i in _bits(count.left)])
+        stats["ghat_states"], stats["ghat_transitions"] = _extent([count.left], g._closed_images)
     stats["observer_states"], stats["observer_transitions"] = observer.size
     stats["product_states"], stats["product_transitions"] = count.size
     bad = count.collapsed  # left states of the collapsed product states
@@ -238,6 +240,13 @@ def _decide(structures: Structures, prop: str, witness: bool) -> Verdict:
         search = structures.walk(spec)
         found = _product_witness(search, search.first_collapsed(bad))
     return Verdict(prop, not bad, found, stats)
+
+
+def _extent(masks: Iterable[int], tables: ClosedImages) -> tuple[int, int]:
+    """(states, transitions) of the part of g whose states are those in
+    ``masks`` and whose arcs are the ones ``tables`` keeps out of them."""
+    mask = reduce(or_, masks, 0)
+    return mask.bit_count(), sum([tables.degree[i] for i in _bits(mask)])
 
 
 def check_all(
@@ -290,28 +299,13 @@ def _observation_witness(search: ObserverSearch, number: int) -> Witness:
 
 
 def _realize_observation(g: Automaton, observation: tuple[str, ...]) -> Run:
-    """Shortest run of ``g`` whose projection equals ``observation``.
-
-    Breadth-first over (state, consumed-prefix-length) nodes; silent
-    transitions keep the prefix length, matching observable transitions
-    advance it."""
-    target = len(observation)
-    parents: dict = dict.fromkeys((state, 0) for state in sorted(g.initial_states))
-    queue = deque(parents)
-    while queue:
-        node = queue.popleft()
-        state, consumed = node
-        if consumed == target:
-            start, steps = _tree_path(parents, node)
-            return Run(start[0], tuple((event, dst) for event, (dst, _) in steps))
-        for event, dst in g.outgoing(state):
-            if event not in g.observable:
-                successor = (dst, consumed)
-            elif event == observation[consumed]:
-                successor = (dst, consumed + 1)
-            else:
-                continue
-            if successor not in parents:
-                parents[successor] = (node, event)
-                queue.append(successor)
-    raise ValueError("observation is not realizable")
+    """Shortest run of ``g`` whose projection equals ``observation``, read
+    off the walk of ``g`` with the observation's own automaton, whose
+    estimate counts the k events still to observe: 0 (collapsed, where
+    the walk stops) once all are, k + 1 (a dead end) on a mismatch."""
+    k = len(observation)
+    steps = {event: [0] + [k + 1] * (k + 1) for event in g.observable}
+    for position, event in enumerate(observation):
+        steps[event][k - position] = k - position - 1
+    search = search_product(g, g.initial_states, k, steps)
+    return _product_witness(search, search.first_collapsed(-1)).run

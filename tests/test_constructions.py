@@ -622,7 +622,10 @@ class TestCountMatchesWalk:
             secret_states=["s"],
         )
         structures = Structures(aut)
-        assert structures.observer_search(True, aut.non_secret_initials).alphabet == ("a",)
+        # The search runs on the system's alphabet; the exported observer
+        # keeps only the events the core steps on.
+        assert structures.observer.alphabet == ("a",)
+        assert not any(structures.observer_search(True, aut.non_secret_initials).steps["b"])
         assert structures.ghat.states == ()
         assert structures.count(_SPECS["SCSO"]).collapsed == 1 << aut.states.index("s")
         assert structures.count(_SPECS["SISO"]) == (0, 0, 0, 0)

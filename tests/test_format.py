@@ -106,6 +106,11 @@ state q
             (b"opacity-nfa 1\nstate q\ntrans q a\n", "'trans' takes", 3),
             (b"opacity-nfa 1\nstate q\nevent a\n", "'event' takes", 3),
             (b"", "header", None),
+            # Only \r\n, \r and \n end a line, so a form feed or a
+            # vertical tab is blank space within one.
+            (b"opacity-nfa 1\n\x0c\nstate q\ninit r\n", "unknown state", 4),
+            (b"opacity-nfa 1\r\nstate q\x0bstate p\rinit r\r\n", "'state' takes", 2),
+            (b"opacity-nfa 1\r\nstate q\rinit r\r\n", "unknown state", 3),
         ],
     )
     def test_errors_carry_line_numbers(self, text, fragment, line):
@@ -113,6 +118,13 @@ state q
             parse(text)
         assert fragment in str(info.value)
         assert info.value.line == line
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x1c", "\x0c"])
+    def test_a_comment_runs_to_the_end_of_the_line(self, separator):
+        # str.splitlines() ends a line at each of these separators, which
+        # would declare state b from inside the comment.
+        doc = parse(f"opacity-nfa 1\n# note{separator}state b\nstate a\ninit a\n")
+        assert doc.states == ("a",)
 
     def test_leading_byte_order_mark_is_skipped(self):
         assert parse(b"\xef\xbb\xbf" + MINIMAL) == parse(MINIMAL)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -265,12 +266,39 @@ def reference_product_witness(cc, offending):
     return Witness(events, observation, offending, run)
 
 
+def reference_realize(g, observation):
+    """Shortest run of ``g`` whose projection equals ``observation``, or
+    None.  Breadth-first over (state, consumed-prefix-length) nodes;
+    silent transitions keep the prefix length, matching observable
+    transitions advance it."""
+    target = len(observation)
+    parents = dict.fromkeys((state, 0) for state in sorted(g.initial_states))
+    queue = deque(parents)
+    while queue:
+        node = queue.popleft()
+        state, consumed = node
+        if consumed == target:
+            start, steps = tree_path(parents, node)
+            return Run(start[0], tuple((event, dst) for event, (dst, _) in steps))
+        for event, dst in g.outgoing(state):
+            if event not in g.observable:
+                successor = (dst, consumed)
+            elif event == observation[consumed]:
+                successor = (dst, consumed + 1)
+            else:
+                continue
+            if successor not in parents:
+                parents[successor] = (node, event)
+                queue.append(successor)
+    return None
+
+
 def reference_estimate_witness(g, estimates, offending):
     """The observation on the tree path to the estimate ``offending``,
     realized by a shortest run of ``g``."""
     _, steps = tree_path(estimates.parents, offending)
     observation = tuple(event for event, _ in steps)
-    run = _realize_observation(g, observation)
+    run = reference_realize(g, observation)
     return Witness(run.events, observation, offending, run)
 
 
@@ -311,6 +339,28 @@ def test_matches_reference_decider(family):
             assert json.dumps(verdict_record(verdicts[prop])) == json.dumps(
                 verdict_record(expected[prop])
             ), prop
+
+
+def test_realizer_matches_the_reference():
+    """The run read off the product walk is the reference's shortest run,
+    on every realizable observation of up to four events."""
+    realized = 0
+    for aut in [*random_instances(200), *chain_instances()]:
+        observer = build_observer(aut)
+        level = [((), observer.initial)] if observer.initial is not None else []
+        for _ in range(5):
+            for observation, _ in level:
+                expected = reference_realize(aut, observation)
+                assert expected is not None
+                assert _realize_observation(aut, observation) == expected, observation
+                realized += 1
+            level = [
+                (observation + (event,), observer.transitions[(subset, event)])
+                for observation, subset in level
+                for event in observer.alphabet
+                if (subset, event) in observer.transitions
+            ]
+    assert realized > 1000
 
 
 def test_decider_builds_no_labelled_structure(monkeypatch):
@@ -369,16 +419,21 @@ def test_no_walk_without_witness(monkeypatch):
 
 
 def test_iso_and_cso_alone_build_no_core(monkeypatch):
-    """ISO and CSO are decided on observers of the system itself, so
-    decided alone neither builds the non-secret core, and ISO counts
-    its one product; their verdicts are check_all's."""
+    """Every property is decided on the system's own tables, so neither
+    the non-secret core nor the secret-start part is ever built, and ISO
+    decided alone counts its one product; the verdicts are unchanged."""
     from opacheck import verifiers
 
-    automata = [*map(load_fixture, FIXTURE_NAMES), *random_instances(200)]
+    automata = [
+        *map(load_fixture, FIXTURE_NAMES),
+        *random_instances(200),
+        *larger_instances(),
+        *chain_instances(),
+    ]
     expected = [check_all(aut, witness=True) for aut in automata]
 
     def refuse(g):
-        raise AssertionError("the non-secret core was built")
+        raise AssertionError("a part of the system was built")
 
     counted = []
     count_product = verifiers.count_product
@@ -388,12 +443,42 @@ def test_iso_and_cso_alone_build_no_core(monkeypatch):
         return count_product(*args)
 
     monkeypatch.setattr(verifiers, "build_gdss", refuse)
+    monkeypatch.setattr(verifiers, "build_ghat", refuse)
     monkeypatch.setattr(verifiers, "count_product", counting)
     for aut, verdicts in zip(automata, expected):
+        records = {p: verdict_record(v) for p, v in check_all(aut, witness=True).items()}
+        assert records == {p: verdict_record(v) for p, v in verdicts.items()}
         for prop in ("ISO", "CSO"):
             counted.clear()
             assert verdict_record(check(aut, prop, witness=True)) == verdict_record(verdicts[prop])
             assert len(counted) == (prop == "ISO")
+
+
+def test_exports_build_only_the_part_they_show(monkeypatch):
+    """The observer and cc are built on the system's own tables; only
+    cc-hat, gdss and ghat build a part of the system."""
+    from opacheck import verifiers
+
+    built = []
+
+    def recording(name):
+        build = getattr(verifiers, name)
+        return lambda g: built.append(name) or build(g)
+
+    for name in ("build_gdss", "build_ghat"):
+        monkeypatch.setattr(verifiers, name, recording(name))
+    parts = {
+        "observer": [],
+        "cc": [],
+        "cc_hat": ["build_ghat"],
+        "gdss": ["build_gdss"],
+        "ghat": ["build_ghat"],
+    }
+    for aut in map(load_fixture, FIXTURE_NAMES):
+        for attribute, expected in parts.items():
+            built.clear()
+            getattr(Structures(aut), attribute)
+            assert built == expected, attribute
 
 
 def recorded_walks(monkeypatch):
