@@ -5,13 +5,9 @@ constructions and cross-checked by an independent subset-pair oracle.
 """
 
 from .constructions import (
-    CCAutomaton,
     CCState,
-    ObserverAutomaton,
-    build_cc,
     build_gdss,
     build_ghat,
-    build_observer,
 )
 from .fileformat import (
     AutomatonDocument,
@@ -49,26 +45,22 @@ from .verifiers import (
     check_all,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "Automaton",
     "AutomatonDocument",
     "AutomatonWarning",
-    "CCAutomaton",
     "CCState",
     "FormatError",
     "MalformedWitness",
-    "ObserverAutomaton",
     "PROPERTIES",
     "Run",
     "ValidationError",
     "Verdict",
     "Witness",
-    "build_cc",
     "build_gdss",
     "build_ghat",
-    "build_observer",
     "check",
     "check_all",
     "delta_extended",

@@ -7,29 +7,26 @@ Four constructions are provided:
   the non-secret initial states.
 * ``build_ghat``   -- the secret-start restriction: everything reachable
   from the secret initial states.
-* ``build_observer`` -- powerset determinization with silent closure;
+* ``search_observer`` -- powerset determinization with silent closure;
   its states are the nonempty sets of states consistent with an
   observation.
-* ``build_cc``     -- the synchronized product of an automaton with an
+* ``search_product`` -- the synchronized product of an automaton with an
   observer: the left side moves like the automaton, the right side
   replays the observation through the observer and collapses to the
   distinguished empty estimate once the observer has no answer.  The
   empty estimate is absorbing.
 
-All outputs are immutable, contain only the part reachable from their
-initial states, and order their components lexicographically.  The
-observer and the product keep the breadth-first tree of their
-construction as ``parents``: in discovery order, each state maps to the
+The two restrictions are automata: immutable, reachable from their
+initial states, components sorted.  The observer and the product are
+searches on plain ints, and each keeps the breadth-first tree of its
+search as ``parents``: in discovery order, each state maps to the
 (state, label) it was first reached from, each initial state to None.
-A shortest path to any state is read off that tree.
-
-The observer is found by one breadth-first search on plain ints, and
-the product by a count and a breadth-first walk on plain ints;
-``build_observer`` and ``build_cc`` render the searches into the
-labelled fields above.  The deciders read sizes from the observer search
-and the product count, and walk a product only for a witness, up to its
-first bad state.  The labelled structures exist for ``export`` and for
-callers of the public ``build_*`` only; a witness labels just its path.
+A shortest path to any state is read off that tree.  The deciders read
+sizes from the observer search and the product count, and walk a
+product only for a witness, up to its first bad state; a witness labels
+just its path.  Only ``export`` labels a whole observer or product:
+``observer_graph`` and ``product_graph`` render a search straight into
+a :class:`Graph`, in label order.
 
 * ``search_observer`` keeps each estimate as a bit mask over the
   source's states and numbers the estimates 1, 2, ... in discovery
@@ -60,7 +57,7 @@ deciders build neither ``G_dss`` nor ``Ĝ``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import groupby
 from operator import itemgetter, or_
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -99,43 +96,15 @@ def pair_label(pair: EventPair) -> str:
     return f"({pair[0]},{pair[1] if pair[1] is not None else 'eps'})"
 
 
-@dataclass(frozen=True)
-class ObserverAutomaton:
-    """Deterministic partial automaton over nonempty state subsets.
+class Graph(NamedTuple):
+    """A structure as a labelled graph, in the structure's own order:
+    the form :mod:`~opacheck.fileformat` writes."""
 
-    ``initial`` is None when even the empty observation has no
-    explanation (no initial state to close over).  ``transitions`` maps
-    (subset, event) to the successor subset and is only defined where
-    that successor is nonempty.  ``parents`` is the construction's breadth-first tree.
-    """
-
-    alphabet: tuple[str, ...]
-    initial: "frozenset[str] | None"
-    states: tuple[frozenset[str], ...]
-    transitions: dict[tuple[frozenset[str], str], frozenset[str]]
-    parents: dict[frozenset[str], "tuple[frozenset[str], str] | None"]
-
-
-@dataclass(frozen=True)
-class CCAutomaton:
-    """Synchronized product of a left automaton with an observer.
-
-    ``arcs`` maps each state to its sorted (event pair, target) arcs;
-    ``parents`` is the construction's breadth-first tree.
-    """
-
-    event_pairs: tuple[EventPair, ...]
-    states: tuple[CCState, ...]
-    arcs: dict[CCState, tuple[tuple[EventPair, CCState], ...]]
-    initial_states: tuple[CCState, ...]
-    left_secret: frozenset[str]
-    parents: dict[CCState, "tuple[CCState, EventPair] | None"]
-
-    @cached_property
-    def transitions(self) -> tuple[tuple[CCState, EventPair, CCState], ...]:
-        """All (source, event pair, target) triples, sorted."""
-        # From a list: tuple() of a generator resizes as it grows, fragmenting the heap.
-        return tuple([(src, pair, dst) for src in self.states for pair, dst in self.arcs[src]])
+    name: str
+    states: list[tuple[str, bool]]  # (label, is_secret)
+    initial: list[str]
+    events: list[tuple[str, bool]]  # (label, is_observable)
+    transitions: list[tuple[str, str, str]]  # (source, label, target)
 
 
 def _restrict(
@@ -285,46 +254,6 @@ def search_observer(
             out.append(successor)
             transitions += 1
     return ObserverSearch(src, alphabet, masks, steps, parents, transitions)
-
-
-def render_observer(search: ObserverSearch) -> ObserverAutomaton:
-    """The labelled observer of a search: each estimate becomes a subset
-    of state names, in the search's discovery order."""
-    names = search.source.states
-    members = [_bits(mask) for mask in search.masks]
-    subsets = [frozenset([names[i] for i in bits]) for bits in members]
-    count = len(subsets)
-    transitions = {}
-    for number in range(1, count):
-        for event in search.alphabet:
-            successor = search.steps[event][number]
-            if successor:
-                transitions[(subsets[number], event)] = subsets[successor]
-    parents = {
-        subsets[number]: None if link is None else (subsets[link[0]], link[1])
-        for number, link in enumerate(search.parents)
-        if number
-    }
-    return ObserverAutomaton(
-        alphabet=search.alphabet,
-        initial=subsets[1] if count > 1 else None,
-        # names is sorted, so bit order is name order.
-        states=tuple(subsets[i] for i in sorted(range(1, count), key=members.__getitem__)),
-        transitions=transitions,
-        parents=parents,
-    )
-
-
-def build_observer(src: Automaton) -> ObserverAutomaton:
-    """Powerset observer of ``src``: subsets consistent with observations.
-
-    The initial subset is the silent closure of the initial states (absent
-    when that closure is empty); stepping on an observable event takes the
-    event image followed by silent closure, and is undefined when that
-    image is empty.  Only subsets reachable from the initial one are kept.
-    This renders :func:`search_observer`.
-    """
-    return render_observer(search_observer(src))
 
 
 class ProductCount(NamedTuple):
@@ -490,59 +419,73 @@ def search_product(
     return ProductSearch(left, groups, keys, parents, [], _walk(len(names), groups, parents, keys))
 
 
-def build_cc(left: Automaton, obs: ObserverAutomaton) -> CCAutomaton:
-    """Synchronized product of ``left`` with an observer.
+def _estimate_labels(search: ObserverSearch) -> tuple[list[str], list[int]]:
+    """Each estimate's label by number (``{}`` for the collapsed one),
+    and the numbers in label order: by member names, the collapsed
+    estimate first."""
+    names = search.source.states
+    members = [_bits(mask) for mask in search.masks]
+    labels = [subset_label([names[i] for i in bits]) for bits in members]
+    # names is sorted, so bit order is name order.
+    return labels, sorted(range(len(members)), key=members.__getitem__)
 
-    Observable events move both sides; the estimate goes to the successor
-    subset where the observer is defined and collapses to the empty
-    estimate otherwise (including events outside the observer's
-    alphabet).  Silent events move only the left side.  The empty
-    estimate is absorbing.  Only reachable product states are kept.
-    This renders :func:`search_product`, run on ``obs``'s steps with its
-    subsets numbered in ``parents`` order and walked to the end.
+
+def observer_graph(search: ObserverSearch) -> Graph:
+    """The labelled observer of a search: its estimates as subsets in
+    label order, and its defined steps sorted by label."""
+    labels, order = _estimate_labels(search)
+    transitions = [
+        (labels[number], event, labels[successor])
+        for event, row in search.steps.items()
+        for number, successor in enumerate(row)
+        if successor  # row[0] is 0: the collapsed estimate has no steps
+    ]
+    return Graph(
+        "observer",
+        [(labels[number], False) for number in order[1:]],
+        [labels[1]] if search.initial else [],
+        [(event, True) for event in search.alphabet],
+        sorted(transitions),
+    )
+
+
+def product_graph(left: Automaton, observer: ObserverSearch) -> Graph:
+    """The labelled product of ``left`` with an observer search, from one
+    walk of :func:`search_product` on the search's own steps.
+
+    Observable events move both sides; the estimate goes to the observer's
+    successor where it is defined and collapses to the empty estimate
+    otherwise.  Silent events move only the left side.  States, named
+    ``(x4,{x1,x5})``, are sorted by left state, then by estimate in label
+    order; each state's arcs follow ``left``'s transitions.
     """
-    labels = (None, *obs.parents)
-    numbers = {subset: number for number, subset in enumerate(labels)}
-    steps = {event: [0] * len(labels) for event in {*obs.alphabet, *left.observable}}
-    for (subset, event), successor in obs.transitions.items():
-        steps[event][numbers[subset]] = numbers[successor]
-    search = search_product(left, left.initial_states, numbers[obs.initial], steps)
+    search = search_product(left, left.initial_states, observer.initial, observer.steps)
     search.drain()
+    estimates, order = _estimate_labels(observer)
+    rank = {number: position for position, number in enumerate(order)}
     names = left.states
     n = len(names)
-    # obs.states is sorted, so its order ranks the estimates; None goes first.
-    rank = [0] * len(labels)
-    for position, subset in enumerate(obs.states, 1):
-        rank[numbers[subset]] = position
-    new_state = tuple.__new__  # CCState without its Python-level __new__
-    state = {}
-    ranked = {}  # (left state, estimate rank) as one int -> state
-    for key in search.parents:
+    label = {key: f"({names[key % n]},{estimates[key // n]})" for key in search.parents}
+    # By left state, then by estimate rank, as one int.
+    keys = sorted(search.parents, key=lambda key: key % n * len(order) + rank[key // n])
+    pairs = {}
+    for event in left.events:
+        pair = (event, event if event in left.observable else None)
+        pairs[pair] = pair_label(pair)
+    transitions = []
+    for key in keys:
         estimate, x = divmod(key, n)
-        state[key] = ranked[x * len(labels) + rank[estimate]] = new_state(
-            CCState, (names[x], labels[estimate])
-        )
-    arcs = {}
-    groups = search.groups
-    for key, src in state.items():
-        estimate, x = divmod(key, n)
-        out = []
-        for pair, row, targets in groups[x]:
+        source = label[key]
+        for pair, row, targets in search.groups[x]:
+            # Row entry 0 is 0, so the collapsed estimate stays collapsed.
             base = (estimate if row is None else row[estimate]) * n
             for target in targets:
-                out.append((pair, state[base + target]))
-        arcs[src] = tuple(out)
-    pairs = tuple(
-        (event, event if event in left.observable else None) for event in left.events
-    )
-    return CCAutomaton(
-        event_pairs=pairs,
-        states=tuple([ranked[code] for code in sorted(ranked)]),
-        arcs=arcs,
-        initial_states=tuple(state[key] for key in search.initial_keys),
-        left_secret=left.secret_states,
-        parents={
-            state[key]: None if link is None else (state[link[0]], link[1])
-            for key, link in search.parents.items()
-        },
+                transitions.append((source, pairs[pair], label[base + target]))
+    secret = left.secret_states
+    return Graph(
+        "product",
+        [(label[key], names[key % n] in secret) for key in keys],
+        [label[key] for key in search.initial_keys],
+        [(text, pair[1] is not None) for pair, text in pairs.items()],
+        transitions,
     )

@@ -16,18 +16,18 @@ states, events, initial states, secret states and transitions, each
 group sorted.  Canonical ordering is part of the format so that diffs
 between files are meaningful.
 
-:func:`document_of` and :func:`export_dot` render an automaton, an
-observer or a product from one labelled view: subsets are named
-``{x1,x5}`` (the empty estimate ``{}``), product states ``(x4,{x1,x5})``,
-event pairs ``(a,a)`` or ``(u,eps)``; two equal names are a ValidationError.
+:func:`document_of` and :func:`export_dot` write an automaton or a
+:class:`~opacheck.constructions.Graph`, the labelled form in which an
+observer or a product is exported: subsets are named ``{x1,x5}`` (the
+empty estimate ``{}``), product states ``(x4,{x1,x5})``, event pairs
+``(a,a)`` or ``(u,eps)``; two equal names are a ValidationError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
-from .constructions import CCAutomaton, ObserverAutomaton, cc_label, pair_label, subset_label
+from .constructions import Graph
 from .model import Automaton, Transition, ValidationError, _assemble, _checked, check_description
 
 FORMAT_MAGIC = "opacity-nfa"
@@ -154,69 +154,39 @@ def load(path) -> AutomatonDocument:
         return parse(handle.read())
 
 
-class _Graph(NamedTuple):
-    """A structure as a labelled graph, in the structure's own order
-    (observer edges sorted by label)."""
-
-    name: str
-    nodes: list[tuple[str, bool]]  # (label, is_secret)
-    initial: list[str]
-    events: list[tuple[str, bool]]  # (label, is_observable)
-    edges: list[tuple[str, str, str]]  # (source, label, target)
-
-
-def _graph(structure: "Automaton | ObserverAutomaton | CCAutomaton") -> _Graph:
-    """Label the states and events of ``structure``; raises ValidationError
-    when two of them get the same label."""
+def _graph(structure: "Automaton | Graph") -> Graph:
+    """``structure`` as a labelled graph; raises ValidationError when two
+    of its states or two of its events have the same label."""
     if isinstance(structure, Automaton):
-        graph = _Graph(
+        structure = Graph(
             "automaton",
             [(s, s in structure.secret_states) for s in structure.states],
             sorted(structure.initial_states),
             [(e, e in structure.observable) for e in structure.events],
             list(structure.transitions),
         )
-    elif isinstance(structure, ObserverAutomaton):
-        label = {q: subset_label(q) for q in structure.states}
-        graph = _Graph(
-            "observer",
-            [(label[q], False) for q in structure.states],
-            [] if structure.initial is None else [label[structure.initial]],
-            [(e, True) for e in structure.alphabet],
-            sorted((label[q], e, label[t]) for (q, e), t in structure.transitions.items()),
-        )
-    elif isinstance(structure, CCAutomaton):
-        label = {s: cc_label(s) for s in structure.states}
-        pair = {p: pair_label(p) for p in structure.event_pairs}
-        graph = _Graph(
-            "product",
-            [(label[s], s.left in structure.left_secret) for s in structure.states],
-            [label[s] for s in structure.initial_states],
-            [(pair[p], p[1] is not None) for p in structure.event_pairs],
-            [(label[s], pair[p], label[t]) for s in structure.states for p, t in structure.arcs[s]],
-        )
-    else:
+    elif not isinstance(structure, Graph):
         raise TypeError(f"cannot export {type(structure).__name__}")
-    for kind, named in (("state", graph.nodes), ("event", graph.events)):
+    for kind, named in (("state", structure.states), ("event", structure.events)):
         seen: set[str] = set()
         for name, _ in named:
             if name in seen:
                 raise ValidationError(f"two {kind}s are both named {name!r}")
             seen.add(name)
-    return graph
+    return structure
 
 
-def document_of(structure: "Automaton | ObserverAutomaton | CCAutomaton") -> AutomatonDocument:
+def document_of(structure: "Automaton | Graph") -> AutomatonDocument:
     """Document form of any structure; secret product states are those
     with a secret left component."""
     graph = _graph(structure)
     return AutomatonDocument(
         format_version=FORMAT_VERSION,
-        states=tuple(label for label, _ in graph.nodes),
+        states=tuple(label for label, _ in graph.states),
         events=tuple(graph.events),
-        transitions=tuple(graph.edges),
+        transitions=tuple(graph.transitions),
         initial=tuple(graph.initial),
-        secret=tuple(label for label, is_secret in graph.nodes if is_secret),
+        secret=tuple(label for label, is_secret in graph.states if is_secret),
     )
 
 
@@ -224,7 +194,7 @@ def _quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(structure: "Automaton | ObserverAutomaton | CCAutomaton") -> str:
+def export_dot(structure: "Automaton | Graph") -> str:
     """Render any of the structures as a deterministic DOT digraph.
 
     Secret states (or product states with a secret left component) are
@@ -238,12 +208,12 @@ def export_dot(structure: "Automaton | ObserverAutomaton | CCAutomaton") -> str:
         marker = f"__start_{index}"
         out.append(f"  {_quote(marker)} [shape=point, label=\"\"];")
         out.append(f"  {_quote(marker)} -> {_quote(label)};")
-    for label, is_secret in graph.nodes:
+    for label, is_secret in graph.states:
         attrs = [f"label={_quote(label)}"]
         if is_secret:
             attrs += ["style=filled", "fillcolor=lightgray"]
         out.append(f"  {_quote(label)} [{', '.join(attrs)}];")
-    for src, label, dst in graph.edges:
+    for src, label, dst in graph.transitions:
         attrs = [f"label={_quote(label)}"]
         if not observable[label]:
             attrs.append("style=dashed")

@@ -26,8 +26,9 @@ def random_automaton(
 
     Accessibility is guaranteed by construction: a random spanning tree
     rooted at the initial states is laid down first, then ``density * n``
-    extra random transitions are added.  The same seed always produces
-    the same automaton.
+    extra random transitions are drawn, or fewer once every possible
+    transition is present.  The same seed always produces the same
+    automaton.
     """
     if n_states < 1 or n_events < 1:
         raise ValueError("state and event counts must be >= 1")
@@ -35,6 +36,8 @@ def random_automaton(
         raise ValueError("ratios must lie in [0, 1]")
     if not (math.isfinite(density) and density >= 0.0):
         raise ValueError("density must be a finite number >= 0")
+    if not math.isfinite(density * n_states):
+        raise ValueError("density times the state count must be finite")
     if rng is None:
         rng = random.Random(seed)
 
@@ -55,7 +58,11 @@ def random_automaton(
     for state in pending:
         transitions.add((rng.choice(reached), rng.choice(events), state))
         reached.append(state)
+    # Once every (source, event, target) triple is drawn, no draw adds one.
+    saturated = n_states * n_states * n_events
     for _ in range(int(round(density * n_states))):
+        if len(transitions) == saturated:
+            break
         transitions.add((rng.choice(states), rng.choice(events), rng.choice(states)))
 
     with warnings.catch_warnings():
@@ -91,7 +98,7 @@ def fuzz_automaton(base_seed: int, index: int, max_states: int = 6, max_events: 
 _ORACLES = {prop: getattr(oracle_mod, f"oracle_{prop.lower()}") for prop in PROPERTIES}
 
 # (premise, conclusion) pairs that must hold on every instance.
-IMPLICATIONS = (("SCSO", "CSO"), ("SISO", "ISO"), ("INF_SSO", "SCSO"))
+IMPLICATIONS = (("SCSO", "CSO"), ("SISO", "ISO"), ("INF_SSO", "SCSO"), ("INF_SSO", "SISO"))
 
 
 @dataclass

@@ -26,33 +26,33 @@ witness.  SCSO and INF_SSO share one walk of the same product: every
 SCSO-bad state is INF_SSO-bad, so whichever is decided second resumes
 the walk or finds its state already discovered.  A CSO witness's run is
 read off the walk of g with the automaton of its observation.  Labels
-are made only for a witness's path.  The labelled structures of
-:class:`Structures` (``gdss``, ``ghat``, ``observer``, ``cc``,
-``cc_hat``) are the five that ``export`` writes, built on request and
-never read by the decider.
+are made only for a witness's path.  The five structures ``export``
+writes are attributes of :class:`Structures`, built on request and never
+read by the decider: the automata ``gdss`` and ``ghat``, and ``observer``,
+``cc`` and ``cc_hat``, :class:`~opacheck.constructions.Graph`s rendered
+straight from the core observer's search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
 from typing import Any, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .constructions import (
-    CCAutomaton,
     CCState,
-    ObserverAutomaton,
+    Graph,
     ObserverSearch,
     ProductCount,
     ProductSearch,
     _bits,
-    build_cc,
     build_gdss,
     build_ghat,
     cc_label,
     count_product,
-    render_observer,
+    observer_graph,
+    product_graph,
     search_observer,
     search_product,
     subset_label,
@@ -144,9 +144,10 @@ class Structures:
     for a witness.  All run on g's tables: the core's observer on its
     core tables, and ``Ĝ``'s products on g's started at the secret
     initial states, since ``Ĝ`` keeps every arc out of the states it
-    reaches.  The labelled attributes (``gdss``, ``ghat``, ``observer``,
-    ``cc``, ``cc_hat``) are the structures ``export --structure`` names,
-    built on first access and never read by the decider.
+    reaches.  The attributes ``gdss``, ``ghat``, ``observer``, ``cc`` and
+    ``cc_hat`` are the structures ``export --structure`` names, built on
+    first access and never read by the decider; the last three are
+    :class:`~opacheck.constructions.Graph`s of the core observer search.
     """
 
     def __init__(self, g: Automaton):
@@ -190,21 +191,24 @@ class Structures:
             self._products[key] = make(g, getattr(g, spec.start), obs.initial, obs.steps)
         return self._products[key]
 
+    def _core_observer(self) -> ObserverSearch:
+        return self.observer_search(True, self.g.non_secret_initials)
+
     @cached_property
-    def observer(self) -> ObserverAutomaton:
+    def observer(self) -> Graph:
         # G_dss's observable events are exactly those the core steps on.
-        search = self.observer_search(True, self.g.non_secret_initials)
-        used = tuple([event for event in search.alphabet if any(search.steps[event])])
-        return replace(render_observer(search), alphabet=used)
+        search = self._core_observer()
+        used = [(event, True) for event in search.alphabet if any(search.steps[event])]
+        return observer_graph(search)._replace(events=used)
 
     @cached_property
-    def cc(self) -> CCAutomaton:
-        return build_cc(self.g, self.observer)
+    def cc(self) -> Graph:
+        return product_graph(self.g, self._core_observer())
 
     @cached_property
-    def cc_hat(self) -> CCAutomaton:
-        # Built on ghat, whose events and secret states label the product.
-        return build_cc(self.ghat, self.observer)
+    def cc_hat(self) -> Graph:
+        # Walked on ghat, whose events and secret states label the product.
+        return product_graph(self.ghat, self._core_observer())
 
 
 def _decide(structures: Structures, prop: str, witness: bool) -> Verdict:

@@ -1,11 +1,12 @@
 import pathlib
 import re
 from collections import deque
+from dataclasses import dataclass
 
 import pytest
 
 from opacheck import load, validate
-from opacheck.constructions import CCAutomaton, CCState, ObserverAutomaton
+from opacheck.constructions import CCState, Graph, cc_label, pair_label, subset_label
 from opacheck.generate import fuzz_automaton, random_automaton
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -108,18 +109,43 @@ def chain(length, event_of):
 # --- reference constructions ---------------------------------------------
 #
 # The observer and the product as first written: a silent-closure search
-# for every (subset, event) step, and an observer lookup for every arc.
-# The built structures must match them field by field, key order included.
+# for every (subset, event) step, and an observer lookup for every arc,
+# each in a record of its own.  The searches must match them: labelled,
+# as the Graphs that export writes, and in their breadth-first trees.
+
+
+@dataclass(frozen=True)
+class ReferenceObserver:
+    """An observer over named subsets; ``transitions`` maps (subset,
+    event) to the successor subset where it is defined."""
+
+    alphabet: tuple[str, ...]
+    initial: "frozenset[str] | None"
+    states: tuple[frozenset[str], ...]
+    transitions: dict
+    parents: dict
+
+
+@dataclass(frozen=True)
+class ReferenceProduct:
+    """A product over ``CCState``s; ``arcs`` maps each state to its
+    (event pair, target) arcs."""
+
+    event_pairs: tuple
+    states: tuple[CCState, ...]
+    arcs: dict
+    initial_states: tuple[CCState, ...]
+    left_secret: frozenset[str]
+    parents: dict
+
+    @property
+    def transitions(self):
+        return tuple((src, pair, dst) for src in self.states for pair, dst in self.arcs[src])
 
 
 def step(obs, subset, event):
     """An observer's successor subset, or None where it is undefined."""
     return obs.transitions.get((subset, event))
-
-
-def outgoing(cc, state):
-    """The (event pair, target) arcs leaving a product state."""
-    return cc.arcs.get(state, ())
 
 
 def silent_closure(aut, sources):
@@ -153,7 +179,7 @@ def reference_observer(src):
                 parents[successor] = (subset, event)
                 queue.append(successor)
     states = tuple(sorted(parents, key=lambda subset: tuple(sorted(subset))))
-    return ObserverAutomaton(alphabet, initial, states, transitions, parents)
+    return ReferenceObserver(alphabet, initial, states, transitions, parents)
 
 
 def reference_cc(left, obs):
@@ -180,24 +206,76 @@ def reference_cc(left, obs):
     rank = {subset: index for index, subset in enumerate((None, *obs.states))}
     pairs = tuple((event, event if event in left.observable else None) for event in left.events)
     states = tuple(sorted(parents, key=lambda s: (s.left, rank[s.right])))
-    return CCAutomaton(pairs, states, arcs, initial, left.secret_states, parents)
+    return ReferenceProduct(pairs, states, arcs, initial, left.secret_states, parents)
 
 
-def assert_same_observer(built, expected):
-    assert built.alphabet == expected.alphabet
-    assert built.initial == expected.initial
-    assert built.states == expected.states
-    assert list(built.transitions.items()) == list(expected.transitions.items())
-    assert list(built.parents.items()) == list(expected.parents.items())
+def reference_graph(structure):
+    """A reference observer or product labelled as export labels it."""
+    if isinstance(structure, ReferenceObserver):
+        label = {q: subset_label(q) for q in structure.states}
+        return Graph(
+            "observer",
+            [(label[q], False) for q in structure.states],
+            [] if structure.initial is None else [label[structure.initial]],
+            [(e, True) for e in structure.alphabet],
+            sorted((label[q], e, label[t]) for (q, e), t in structure.transitions.items()),
+        )
+    label = {s: cc_label(s) for s in structure.states}
+    pair = {p: pair_label(p) for p in structure.event_pairs}
+    return Graph(
+        "product",
+        [(label[s], s.left in structure.left_secret) for s in structure.states],
+        [label[s] for s in structure.initial_states],
+        [(pair[p], p[1] is not None) for p in structure.event_pairs],
+        [(label[s], pair[p], label[t]) for s, p, t in structure.transitions],
+    )
 
 
-def assert_same_cc(built, expected):
-    assert built.event_pairs == expected.event_pairs
-    assert built.states == expected.states
-    assert list(built.arcs.items()) == list(expected.arcs.items())
-    assert built.initial_states == expected.initial_states
-    assert built.left_secret == expected.left_secret
-    assert list(built.parents.items()) == list(expected.parents.items())
+# --- reading the labelled structures back -------------------------------------
+#
+# For names without commas or braces, a Graph's labels parse back into
+# the states and event pairs they name.
+
+
+def cc_state(label):
+    """``(x4,{x1,x5})`` as CCState("x4", {x1, x5}); ``(x5,{})`` as CCState("x5", None)."""
+    left, _, right = label[1:-2].partition(",{")
+    return CCState(left, frozenset(right.split(",")) if right else None)
+
+
+def event_pair(label):
+    """``(a,a)`` as ("a", "a"); ``(u,eps)`` as ("u", None)."""
+    event, right = label[1:-1].split(",")
+    return event, None if right == "eps" else right
+
+
+def product_arcs(graph):
+    """A product Graph's transitions as (CCState, event pair, CCState)."""
+    return [(cc_state(s), event_pair(p), cc_state(t)) for s, p, t in graph.transitions]
+
+
+def graph_step(graph, state, event):
+    """The target of the ``event`` arc out of ``state`` in a
+    deterministic Graph, or None."""
+    return next((t for s, e, t in graph.transitions if (s, e) == (state, event)), None)
+
+
+def subset_tree(search):
+    """An observer search's breadth-first tree over its estimates' subsets."""
+    subset = search.subset
+    return {
+        subset(number): link and (subset(link[0]), link[1])
+        for number, link in enumerate(search.parents)
+        if number
+    }
+
+
+def product_tree(walk, observer):
+    """A drained product walk's breadth-first tree over CCStates, its
+    estimates numbered as in ``observer``."""
+    n = len(walk.left.states)
+    state = lambda key: CCState(walk.left_of(key), observer.subset(key // n) or None)
+    return {state(key): link and (state(link[0]), link[1]) for key, link in walk.parents.items()}
 
 
 # --- tiny DOT grammar checker -------------------------------------------

@@ -11,10 +11,7 @@ import time
 import pytest
 
 from opacheck import (
-    build_cc,
     build_gdss,
-    build_ghat,
-    build_observer,
     check,
     check_all,
     enumerate_runs,
@@ -23,10 +20,10 @@ from opacheck import (
 )
 from opacheck.constructions import CCState
 from opacheck.generate import IMPLICATIONS, fuzz_instances, random_automaton, run_campaign
-from opacheck.verifiers import PROPERTIES
+from opacheck.verifiers import PROPERTIES, Structures
 
-from conftest import load_fixture, outgoing, step
-from test_constructions import observer_words, states_with_observation
+from conftest import cc_state, load_fixture, product_arcs
+from test_constructions import core_search, observer_words, states_with_observation
 
 CAMPAIGN_SEED = 20260810
 CAMPAIGN_SIZE = 1000
@@ -88,11 +85,11 @@ def test_criterion_3():
     aut = load_fixture("scso_positive")
     started = time.perf_counter()
     scso = check(aut, "SCSO")
-    cc = build_cc(aut, build_observer(build_gdss(aut)))
+    cc = Structures(aut).cc
     dot = export_dot(cc)
     elapsed = time.perf_counter() - started
     assert scso.holds is True
-    assert CCState("x4", frozenset({"x1", "x5"})) in cc.states
+    assert CCState("x4", frozenset({"x1", "x5"})) in [cc_state(label) for label, _ in cc.states]
     assert '"(x4,{x1,x5})"' in dot
     assert elapsed < 1.0
 
@@ -114,10 +111,11 @@ def test_criterion_5():
     aut = load_fixture("siso_negative")
     started = time.perf_counter()
     siso = check(aut, "SISO")
-    cc = build_cc(build_ghat(aut), build_observer(build_gdss(aut)))
+    cc = Structures(aut).cc_hat
     elapsed = time.perf_counter() - started
     assert siso.holds is False
-    assert {s for s in cc.states if s.right is None} == {CCState("x4", None), CCState("x5", None)}
+    leaking = {s for s in map(cc_state, (label for label, _ in cc.states)) if s.right is None}
+    assert leaking == {CCState("x4", None), CCState("x5", None)}
     assert elapsed < 1.0
 
 
@@ -132,7 +130,7 @@ def test_criterion_6(campaign):
 @criterion(7, "implication suite over the campaign: zero violations")
 def test_criterion_7(campaign):
     report, _ = campaign
-    assert IMPLICATIONS == (("SCSO", "CSO"), ("SISO", "ISO"), ("INF_SSO", "SCSO"))
+    assert IMPLICATIONS == (("SCSO", "CSO"), ("SISO", "ISO"), ("INF_SSO", "SCSO"), ("INF_SSO", "SISO"))
     assert report.implication_violations == []
 
 
@@ -143,14 +141,13 @@ def test_criterion_8(campaign):
     assert report.witness_failures == []
 
 
-def observer_run(observer, observation):
-    """Fold an observation from the observer's initial subset; None if undefined."""
-    here = observer.initial
+def observer_run(search, observation):
+    """Fold an observation from an observer search's initial estimate;
+    None if undefined."""
+    number = search.initial
     for event in observation:
-        if here is None:
-            return None
-        here = step(observer, here, event)
-    return here
+        number = search.steps[event][number]  # 0, the collapsed estimate, stays 0
+    return number or None
 
 
 @criterion(9, "bounded language invariants at depth 6 on 100 random instances")
@@ -158,8 +155,9 @@ def test_criterion_9():
     depth = 6
     for label, aut in fuzz_instances(100, 6, seed=CAMPAIGN_SEED + 1):
         gdss = build_gdss(aut)
-        observer = build_observer(gdss)
-        cc = build_cc(aut, observer)
+        observer = core_search(aut)
+        cc = Structures(aut).cc
+        arcs = product_arcs(cc)
 
         # Observer language equals the projected language of the core:
         # accepted words are realizable, projections of bounded runs are
@@ -172,24 +170,25 @@ def test_criterion_9():
 
         # Every bounded run of the system lifts to a product path with
         # the same left behaviour...
-        states = set(cc.states)
+        states = {cc_state(name) for name, _ in cc.states}
+        lifted = set(arcs)
         for run in enumerate_runs(aut, depth):
-            right = observer.initial
-            here = CCState(run.start, right)
+            number = observer.initial
+            here = CCState(run.start, observer.subset(number) or None)
             assert here in states, label
             for event, target in run.steps:
                 if event in aut.observable:
-                    right = None if right is None else step(observer, right, event)
+                    number = observer.steps[event][number]
                     pair = (event, event)
                 else:
                     pair = (event, None)
-                nxt = CCState(target, right)
-                assert (pair, nxt) in outgoing(cc, here), label
+                nxt = CCState(target, observer.subset(number) or None)
+                assert (here, pair, nxt) in lifted, label
                 here = nxt
         # ...and conversely each product transition is a transition of the
         # system whose pair components project equally, so every product
         # path satisfies both inclusions.
-        for src, (event, right_part), dst in cc.transitions:
+        for src, (event, right_part), dst in arcs:
             assert dst.left in aut.successors(src.left, event), label
             if event in aut.observable:
                 assert right_part == event, label

@@ -1,15 +1,21 @@
 import hashlib
 import json
+import os
 import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
+import opacheck
 from opacheck import Run, Witness, load, replay_witness
 from opacheck.cli import main
 
 from conftest import FIXTURE_NAMES, assert_valid_dot, fixture_path
 
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 # Valid, but the observer reaches the subset {a, b} on "o" and the
 # subset {a,b} on "p", and both render as "{a,b}".
@@ -31,6 +37,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_public_api():
+    """Every public name resolves, the version is the package's, and the
+    labelled observer and product types of 0.1 are gone."""
+    for name in opacheck.__all__:
+        assert getattr(opacheck, name) is not None, name
+    assert len(set(opacheck.__all__)) == len(opacheck.__all__)
+    for name in ("ObserverAutomaton", "CCAutomaton", "build_observer", "build_cc"):
+        assert name not in opacheck.__all__ and not hasattr(opacheck, name), name
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == opacheck.__version__
 
 
 class TestCheck:
@@ -256,6 +274,22 @@ class TestGen:
             aut = load(path).to_automaton()
             assert aut.states  # validation succeeded and kept everything
 
+    def test_density_past_saturation_ends(self):
+        # 3 states and 1 event allow 9 transitions; once all are drawn the
+        # generator stops drawing.  Run apart, so that a hang is cut short.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        argv = ["gen", "--density", "1e12", "--states", "3", "--events", "1"]
+        result = subprocess.run(
+            [sys.executable, "-m", "opacheck.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert sum(line.startswith("trans ") for line in result.stdout.splitlines()) == 9
+
     def test_bad_parameters_are_input_errors(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "gen", "--states", "0")
         assert code == 2
@@ -266,6 +300,9 @@ class TestGen:
             code, _, err = run_cli(capsys, "gen", "--density", density)
             assert code == 2
             assert err == "error: density must be a finite number >= 0\n"
+        code, _, err = run_cli(capsys, "gen", "--density", "1e308", "--states", "5")
+        assert code == 2
+        assert err == "error: density times the state count must be finite\n"
         code, out, err = run_cli(capsys, "gen", "--out", str(tmp_path / "missing" / "g.aut"))
         assert code == 2
         assert out == ""

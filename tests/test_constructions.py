@@ -5,29 +5,40 @@ import pytest
 
 from opacheck import (
     Automaton,
-    build_cc,
     build_gdss,
     build_ghat,
-    build_observer,
     enumerate_runs,
     project,
     validate,
 )
-from opacheck.constructions import CCState, count_product, render_observer, search_product
+from opacheck.constructions import (
+    CCState,
+    Graph,
+    count_product,
+    cc_label,
+    observer_graph,
+    pair_label,
+    product_graph,
+    search_observer,
+    search_product,
+)
 from opacheck.model import AllStatesSecretWarning
 from opacheck.verifiers import _SPECS, Structures, check_all
 
 from conftest import (
-    assert_same_cc,
-    assert_same_observer,
+    cc_state,
     chain,
     chain_instances,
+    event_pair,
+    graph_step,
     larger_instances,
-    outgoing,
+    product_arcs,
+    product_tree,
     random_instances,
     reference_cc,
+    reference_graph,
     reference_observer,
-    step,
+    subset_tree,
 )
 
 
@@ -66,22 +77,27 @@ def states_with_observation(aut, observation):
     return frozenset(state for state, consumed in seen if consumed == target)
 
 
-def observer_words(obs, depth):
-    """All observation words of length <= depth accepted by an observer."""
-    if obs.initial is None:
+def observer_words(search, depth):
+    """All observation words of length <= depth on which an observer
+    search is defined, each with the subset it leads to."""
+    if not search.initial:
         return []
-    words = [((), obs.initial)]
-    frontier = [((), obs.initial)]
+    frontier = [((), search.initial)]
+    words = list(frontier)
     for _ in range(depth):
-        nxt = []
-        for word, subset in frontier:
-            for event in obs.alphabet:
-                successor = step(obs, subset, event)
-                if successor is not None:
-                    nxt.append((word + (event,), successor))
-        words.extend(nxt)
-        frontier = nxt
-    return words
+        frontier = [
+            (word + (event,), successor)
+            for word, number in frontier
+            for event in search.alphabet
+            if (successor := search.steps[event][number])
+        ]
+        words.extend(frontier)
+    return [(word, search.subset(number)) for word, number in words]
+
+
+def core_search(aut):
+    """The non-secret core's observer search, as the verifiers run it."""
+    return Structures(aut).observer_search(True, aut.non_secret_initials)
 
 
 class TestBuildGdss:
@@ -162,18 +178,15 @@ class TestBuildGhat:
 
 
 class TestBuildObserver:
+    # The observer is the core's search; export labels it as a Graph.
     def test_known_observer(self, scso_pos):
-        obs = build_observer(build_gdss(scso_pos))
-        assert obs.initial == frozenset({"x0", "x3"})
-        assert set(obs.states) == {
-            frozenset({"x0", "x3"}),
-            frozenset({"x1", "x5"}),
-            frozenset({"x5"}),
-        }
-        assert step(obs, frozenset({"x0", "x3"}), "a") == frozenset({"x1", "x5"})
-        assert step(obs, frozenset({"x0", "x3"}), "b") is None
-        assert step(obs, frozenset({"x1", "x5"}), "b") == frozenset({"x5"})
-        assert step(obs, frozenset({"x5"}), "b") == frozenset({"x5"})
+        obs = Structures(scso_pos).observer
+        assert obs.initial == ["{x0,x3}"]
+        assert obs.states == [("{x0,x3}", False), ("{x1,x5}", False), ("{x5}", False)]
+        assert graph_step(obs, "{x0,x3}", "a") == "{x1,x5}"
+        assert graph_step(obs, "{x0,x3}", "b") is None
+        assert graph_step(obs, "{x1,x5}", "b") == "{x5}"
+        assert graph_step(obs, "{x5}", "b") == "{x5}"
 
     def test_deterministic_fully_observable_source(self):
         aut = validate(
@@ -182,45 +195,49 @@ class TestBuildObserver:
             transitions=[("p", "a", "q"), ("q", "b", "r"), ("r", "a", "r")],
             initial_states=["p"],
         )
-        obs = build_observer(aut)
-        assert set(obs.states) == {frozenset({s}) for s in "pqr"}
-        for (subset, event), successor in obs.transitions.items():
-            (src,) = subset
-            assert successor == frozenset(aut.successors(src, event))
+        search = search_observer(aut)
+        subsets = [search.subset(number) for number in range(1, len(search.masks))]
+        assert set(subsets) == {frozenset({s}) for s in "pqr"}
+        for event, row in search.steps.items():
+            for number, successor in enumerate(row):
+                if successor:
+                    (src,) = search.subset(number)
+                    assert search.subset(successor) == frozenset(aut.successors(src, event))
 
     def test_empty_source(self):
         with pytest.warns(AllStatesSecretWarning):
             aut = validate(
                 states=["p"], events=[], transitions=[], initial_states=["p"], secret_states=["p"]
             )
-        obs = build_observer(build_gdss(aut))
-        assert obs.initial is None
-        assert obs.states == ()
+        search = core_search(aut)
+        assert search.initial == 0
+        assert search.size == (0, 0)
+        assert Structures(aut).observer == Graph("observer", [], [], [], [])
 
     def test_subsets_nonempty_and_accessible(self):
         for aut in random_instances(40):
-            obs = build_observer(build_gdss(aut))
-            assert all(subset for subset in obs.states)
-            reached = set() if obs.initial is None else {obs.initial}
+            search = core_search(aut)
+            assert all(search.masks[1:])
+            reached = {search.initial} - {0}
             frontier = list(reached)
             while frontier:
-                subset = frontier.pop()
-                for event in obs.alphabet:
-                    successor = step(obs, subset, event)
-                    if successor is not None and successor not in reached:
+                number = frontier.pop()
+                for event in search.alphabet:
+                    successor = search.steps[event][number]
+                    if successor and successor not in reached:
                         reached.add(successor)
                         frontier.append(successor)
-            assert reached == set(obs.states)
+            assert reached == set(range(1, len(search.masks)))
 
     def test_against_per_observation_oracle(self):
         for aut in random_instances(30, max_states=5):
             gdss = build_gdss(aut)
-            obs = build_observer(gdss)
-            seen_words = observer_words(obs, 4)
+            search = core_search(aut)
+            seen_words = observer_words(search, 4)
             for word, subset in seen_words:
                 assert subset == states_with_observation(gdss, word)
             # Unaccepted observations must correspond to no run at all.
-            alphabet = obs.alphabet
+            alphabet = search.alphabet
             accepted = {word for word, _ in seen_words}
             for length in range(3):
                 for word in itertools.product(alphabet, repeat=length):
@@ -229,15 +246,17 @@ class TestBuildObserver:
 
 
 class TestBuildCc:
+    # The product is one walk of the core's search; export labels it as
+    # a Graph, whose labels parse back into CCStates here.
     def test_known_product_states(self, scso_pos, cso_not_scso):
-        cc = build_cc(scso_pos, build_observer(build_gdss(scso_pos)))
-        assert CCState("x4", frozenset({"x1", "x5"})) in cc.states
-        assert not [s for s in cc.states if s.right is None]
+        cc = [cc_state(label) for label, _ in Structures(scso_pos).cc.states]
+        assert CCState("x4", frozenset({"x1", "x5"})) in cc
+        assert not [s for s in cc if s.right is None]
 
-        cc1 = build_cc(cso_not_scso, build_observer(build_gdss(cso_not_scso)))
-        leaking = tuple(s for s in cc1.states if s.right is None and s.left in cc1.left_secret)
-        assert leaking == (CCState("x5", None),)
-        assert CCState("x6", None) in [s for s in cc1.states if s.right is None]
+        cc1 = Structures(cso_not_scso).cc
+        leaking = [label for label, secret in cc1.states if secret and cc_state(label).right is None]
+        assert leaking == ["(x5,{})"]
+        assert CCState("x6", None) in [cc_state(label) for label, _ in cc1.states]
 
     def test_left_without_transitions(self):
         aut = validate(
@@ -247,14 +266,13 @@ class TestBuildCc:
             initial_states=["p", "q"],
         )
         bare = Automaton.build(["p", "q"], ["a"], ["a"], [], ["p", "q"], [])
-        cc = build_cc(bare, build_observer(aut))
-        assert set(cc.states) == set(cc.initial_states)
-        assert cc.transitions == ()
+        cc = product_graph(bare, search_observer(aut))
+        assert [label for label, _ in cc.states] == cc.initial == ["(p,{p,q})", "(q,{p,q})"]
+        assert cc.transitions == []
 
     def test_empty_right_is_absorbing_and_silent_moves_keep_right(self):
         for aut in random_instances(40):
-            cc = build_cc(aut, build_observer(build_gdss(aut)))
-            for src, (event, right_part), dst in cc.transitions:
+            for src, (event, right_part), dst in product_arcs(Structures(aut).cc):
                 if src.right is None:
                     assert dst.right is None
                 if right_part is None:
@@ -267,13 +285,15 @@ class TestBuildCc:
         # Both components of every bounded product path carry the same
         # observation: the silent-erased left word equals the right word.
         for aut in random_instances(25, max_states=5):
-            obs = build_observer(build_gdss(aut))
-            cc = build_cc(aut, obs)
-            frontier = [(state, (), ()) for state in cc.initial_states]
+            cc = Structures(aut).cc
+            outgoing = {}
+            for src, pair, dst in cc.transitions:
+                outgoing.setdefault(src, []).append((event_pair(pair), dst))
+            frontier = [(state, (), ()) for state in cc.initial]
             for _ in range(4):
                 nxt = []
                 for state, left_word, right_word in frontier:
-                    for (event, right_part), dst in outgoing(cc, state):
+                    for (event, right_part), dst in outgoing.get(state, ()):
                         extended_left = left_word + (event,)
                         extended_right = (
                             right_word if right_part is None else right_word + (right_part,)
@@ -287,33 +307,33 @@ class TestBuildCc:
         # with the same left states, and the lifted estimate component is
         # the deterministic observer trajectory of its observation.
         for aut in random_instances(25, max_states=5):
-            obs = build_observer(build_gdss(aut))
-            cc = build_cc(aut, obs)
-            states = set(cc.states)
+            search = core_search(aut)
+            cc = Structures(aut).cc
+            states = {cc_state(label) for label, _ in cc.states}
+            arcs = set(product_arcs(cc))
             for run in enumerate_runs(aut, 4):
-                right = obs.initial
-                here = CCState(run.start, right)
+                number = search.initial
+                here = CCState(run.start, search.subset(number) or None)
                 assert here in states
                 for event, target in run.steps:
                     if event in aut.observable:
-                        right = None if right is None else step(obs, right, event)
+                        number = search.steps[event][number]
                         pair = (event, event)
                     else:
                         pair = (event, None)
-                    nxt = CCState(target, right)
-                    assert (pair, nxt) in outgoing(cc, here)
+                    nxt = CCState(target, search.subset(number) or None)
+                    assert (here, pair, nxt) in arcs
                     here = nxt
 
     def test_observer_language_equals_projected_language(self):
         # Bounded in both directions via run enumeration.
         for aut in random_instances(25, max_states=5):
             gdss = build_gdss(aut)
-            obs = build_observer(gdss)
             projected = set()
             if gdss.states:
                 for run in enumerate_runs(gdss, 4):
                     projected.add(project(gdss, run.events))
-            accepted = {word for word, _ in observer_words(obs, 4)}
+            accepted = {word for word, _ in observer_words(core_search(aut), 4)}
             # Every projection of a bounded run is accepted...
             assert projected <= accepted
             # ...and every accepted word of bounded length is a projection
@@ -322,12 +342,7 @@ class TestBuildCc:
                 assert states_with_observation(gdss, word)
 
     def test_initial_states_pair_with_observer_initial(self, iso_not_siso):
-        obs = build_observer(build_gdss(iso_not_siso))
-        cc = build_cc(iso_not_siso, obs)
-        assert cc.initial_states == (
-            CCState("x1", frozenset({"x1"})),
-            CCState("x2", frozenset({"x1"})),
-        )
+        assert Structures(iso_not_siso).cc.initial == ["(x1,{x1})", "(x2,{x1})"]
 
     def test_no_nonsecret_initials_starts_with_empty_estimate(self):
         # With every initial state secret there is no explanation for any
@@ -340,11 +355,10 @@ class TestBuildCc:
                 initial_states=["p"],
                 secret_states=["p", "q"],
             )
-        obs = build_observer(build_gdss(aut))
-        assert obs.initial is None
-        cc = build_cc(aut, obs)
-        assert cc.initial_states == (CCState("p", None),)
-        assert set(cc.states) == {CCState("p", None), CCState("q", None)}
+        assert core_search(aut).initial == 0
+        cc = Structures(aut).cc
+        assert cc.initial == ["(p,{})"]
+        assert cc.states == [("(p,{})", True), ("(q,{})", True)]
 
     def test_order_is_by_labels(self):
         # States sort by left state, then by the sorted names of the
@@ -353,15 +367,16 @@ class TestBuildCc:
             return (state.left, ("",) if state.right is None else tuple(sorted(state.right)))
 
         for aut in random_instances(40):
-            obs = build_observer(build_gdss(aut))
-            for left in (aut, build_ghat(aut)):
-                cc = build_cc(left, obs)
-                assert list(cc.states) == sorted(cc.states, key=key)
+            structures = Structures(aut)
+            for cc in (structures.cc, structures.cc_hat):
+                states = [cc_state(label) for label, _ in cc.states]
+                assert states == sorted(states, key=key)
+                arcs = product_arcs(cc)
                 expected = sorted(
-                    set(cc.transitions),
+                    set(arcs),
                     key=lambda t: (key(t[0]), t[1][0], t[1][1] or "", key(t[2])),
                 )
-                assert list(cc.transitions) == expected
+                assert arcs == expected
 
 
 class TestBreadthFirstTree:
@@ -384,51 +399,73 @@ class TestBreadthFirstTree:
 
     def test_observer_tree(self):
         for aut in random_instances(40):
-            for source in (aut, build_gdss(aut)):
-                obs = build_observer(source)
-                roots = () if obs.initial is None else (obs.initial,)
+            structures = Structures(aut)
+            for search in (
+                structures.observer_search(False, aut.initial_states),
+                structures.observer_search(True, aut.non_secret_initials),
+            ):
+                parents = dict(enumerate(search.parents))
+                del parents[0]  # the collapsed estimate is no state
+                roots = (1,) if search.initial else ()
                 self.check_tree(
-                    obs.parents, obs.states, roots, lambda q, e, q2: step(obs, q, e) == q2
+                    parents,
+                    range(1, len(search.masks)),
+                    roots,
+                    lambda q, e, q2: search.steps[e][q] == q2,
                 )
 
     def test_product_tree(self):
         for aut in random_instances(40):
-            obs = build_observer(build_gdss(aut))
-            for left in (aut, build_ghat(aut)):
-                cc = build_cc(left, obs)
+            structures = Structures(aut)
+            obs = core_search(aut)
+            for left, cc in ((aut, structures.cc), (structures.ghat, structures.cc_hat)):
+                walk = search_product(left, left.initial_states, obs.initial, obs.steps)
+                walk.drain()
+                arcs = set(cc.transitions)
                 self.check_tree(
-                    cc.parents,
-                    cc.states,
-                    cc.initial_states,
-                    lambda src, pair, dst: (src, pair, dst) in cc.transitions,
+                    product_tree(walk, obs),
+                    [cc_state(label) for label, _ in cc.states],
+                    [cc_state(label) for label in cc.initial],
+                    lambda src, pair, dst: (cc_label(src), pair_label(pair), cc_label(dst)) in arcs,
                 )
 
 
 # --- against the reference constructions -----------------------------------
 #
-# The observer and the product the verifiers search, rendered, must match
-# the reference constructions of conftest field by field, key order included.
+# Every observer and product search the verifiers and export run must
+# match the reference constructions of conftest: labelled, as Graphs, and
+# in its breadth-first tree, discovery order included.
 
 
 def assert_matches_reference(aut):
-    """Every observer and product the verifiers search from ``aut``."""
+    """Every observer and product the verifiers search from ``aut``, and
+    the three structures export renders."""
     structures = Structures(aut)
     gdss, ghat = structures.gdss, structures.ghat
-    estimates = render_observer(structures.observer_search(False, aut.initial_states))
-    iso_observer = render_observer(structures.observer_search(False, aut.non_secret_initials))
-    for source, observer in ((aut, estimates), (gdss, structures.observer)):
-        assert_same_observer(observer, reference_observer(source))
-        assert_same_observer(build_observer(source), observer)
-    assert_same_observer(build_observer(ghat), reference_observer(ghat))
     restarted = replace(aut, initial_states=aut.non_secret_initials)
-    assert_same_observer(iso_observer, reference_observer(restarted))
-    for left, observer in (
-        (aut, structures.observer),
-        (ghat, structures.observer),
-        (ghat, iso_observer),
-        (aut, estimates),
+    core = structures.observer_search(True, aut.non_secret_initials)
+    estimates = structures.observer_search(False, aut.initial_states)
+    iso_observer = structures.observer_search(False, aut.non_secret_initials)
+    expected = {source: reference_observer(source) for source in (aut, gdss, ghat, restarted)}
+    searched = [(source, search_observer(source)) for source in expected]
+    for source, search in [*searched, (aut, estimates), (restarted, iso_observer), (gdss, core)]:
+        assert list(subset_tree(search).items()) == list(expected[source].parents.items())
+        # The core is searched on g's alphabet; the exported observer keeps G_dss's.
+        graph = structures.observer if search is core else observer_graph(search)
+        assert graph == reference_graph(expected[source])
+    for left, search, source in (
+        (aut, core, gdss),
+        (ghat, core, gdss),
+        (ghat, iso_observer, restarted),
+        (aut, estimates, aut),
     ):
-        assert_same_cc(build_cc(left, observer), reference_cc(left, observer))
+        product = reference_cc(left, expected[source])
+        assert product_graph(left, search) == reference_graph(product)
+        walk = search_product(left, left.initial_states, search.initial, search.steps)
+        walk.drain()
+        assert list(product_tree(walk, search).items()) == list(product.parents.items())
+    assert structures.cc == reference_graph(reference_cc(aut, expected[gdss]))
+    assert structures.cc_hat == reference_graph(reference_cc(ghat, expected[gdss]))
 
 
 class TestMatchesReference:
@@ -454,10 +491,10 @@ class TestMatchesReference:
             ],
             initial_states=["p"],
         )
-        obs = build_observer(aut)
-        assert obs.initial == frozenset("pq")
-        assert step(obs, frozenset("pq"), "a") == frozenset("rs")
-        assert step(obs, frozenset("rs"), "a") == frozenset("pq")
+        obs = observer_graph(search_observer(aut))
+        assert obs.initial == ["{p,q}"]
+        assert graph_step(obs, "{p,q}", "a") == "{r,s}"
+        assert graph_step(obs, "{r,s}", "a") == "{p,q}"
         assert_matches_reference(aut)
 
     def test_event_missing_from_a_subset(self):
@@ -467,19 +504,23 @@ class TestMatchesReference:
             transitions=[("p", "a", "q"), ("q", "b", "p")],
             initial_states=["p"],
         )
-        obs = build_observer(aut)
-        assert step(obs, frozenset("p"), "b") is None
-        assert (frozenset("p"), "b") not in obs.transitions
-        assert step(obs, frozenset("q"), "a") is None
+        obs = observer_graph(search_observer(aut))
+        assert graph_step(obs, "{p}", "b") is None
+        assert graph_step(obs, "{q}", "a") is None
+        assert obs.transitions == [("{p}", "a", "{q}"), ("{q}", "b", "{p}")]
         assert_matches_reference(aut)
 
     def test_no_initial_state(self):
         aut = Automaton.build(["p", "q"], ["a"], ["a"], [("p", "a", "q")], [], [])
-        obs = build_observer(aut)
-        assert obs.initial is None
-        assert obs.states == () and obs.transitions == {} and obs.parents == {}
-        assert_same_observer(obs, reference_observer(aut))
-        assert_same_cc(build_cc(aut, obs), reference_cc(aut, obs))
+        search = search_observer(aut)
+        assert search.initial == 0 and search.parents == [None]
+        obs = observer_graph(search)
+        assert obs == Graph("observer", [], [], [("a", True)], [])
+        assert obs == reference_graph(reference_observer(aut))
+        cc = product_graph(aut, search)
+        assert cc == reference_graph(reference_cc(aut, reference_observer(aut)))
+        assert cc == Graph("product", [], [], [("(a,a)", True)], [])
+        assert_matches_reference(aut)
 
     @pytest.mark.parametrize("backwards", [False, True], ids=["forwards", "backwards"])
     def test_chain_longer_than_a_machine_word(self, backwards):
@@ -490,19 +531,21 @@ class TestMatchesReference:
         if backwards:
             transitions = [(t, e, s) for s, e, t in transitions]
         aut = validate(names, events, transitions, [names[-1] if backwards else names[0]])
-        obs = build_observer(aut)
-        assert len(obs.states) == 9
-        assert max(len(subset) for subset in obs.states) == 8
-        tail = obs.states[-1] if not backwards else obs.initial
+        search = search_observer(aut)
+        assert search.size[0] == 9
+        assert max(mask.bit_count() for mask in search.masks) == 8
+        obs = observer_graph(search)
+        tail = obs.initial[0] if backwards else obs.states[-1][0]
         assert "c69" in tail
         assert_matches_reference(aut)
 
     def test_silent_chain_closes_in_one_subset(self):
         names, transitions, events = chain(70, lambda i: "u")
         aut = validate(names, events + [("a", True)], transitions + [("c69", "a", "c00")], ["c00"])
-        obs = build_observer(aut)
-        assert obs.initial == frozenset(names)
-        assert step(obs, obs.initial, "a") == obs.initial
+        obs = observer_graph(search_observer(aut))
+        everything = "{" + ",".join(names) + "}"
+        assert obs.initial == [everything]
+        assert obs.transitions == [(everything, "a", everything)]
         assert_matches_reference(aut)
 
     def test_declared_observable_event_without_transitions(self):
@@ -512,12 +555,12 @@ class TestMatchesReference:
             transitions=[("p", "a", "q"), ("q", "u", "p")],
             initial_states=["p"],
         )
-        obs = build_observer(aut)
-        assert obs.alphabet == ("a", "b")
-        assert all(event != "b" for _, event in obs.transitions)
-        cc = build_cc(aut, obs)
-        assert ("b", "b") in cc.event_pairs
-        assert all(pair != ("b", "b") for pair, _ in itertools.chain(*cc.arcs.values()))
+        search = search_observer(aut)
+        assert search.alphabet == ("a", "b")
+        assert not any(search.steps["b"])
+        cc = product_graph(aut, search)
+        assert ("(b,b)", True) in cc.events
+        assert all(pair != "(b,b)" for _, pair, _ in cc.transitions)
         assert_matches_reference(aut)
 
 
@@ -624,7 +667,7 @@ class TestCountMatchesWalk:
         structures = Structures(aut)
         # The search runs on the system's alphabet; the exported observer
         # keeps only the events the core steps on.
-        assert structures.observer.alphabet == ("a",)
+        assert structures.observer.events == [("a", True)]
         assert not any(structures.observer_search(True, aut.non_secret_initials).steps["b"])
         assert structures.ghat.states == ()
         assert structures.count(_SPECS["SCSO"]).collapsed == 1 << aut.states.index("s")

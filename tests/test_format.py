@@ -6,10 +6,7 @@ import pytest
 from opacheck import (
     FormatError,
     ValidationError,
-    build_cc,
-    build_gdss,
     build_ghat,
-    build_observer,
     export_dot,
     load,
     parse,
@@ -19,6 +16,7 @@ from opacheck import (
 from opacheck.fileformat import AutomatonDocument, document_of
 from opacheck.generate import fuzz_automaton
 from opacheck.model import AllStatesSecretWarning, PrunedStatesWarning, check_description
+from opacheck.verifiers import Structures
 
 from conftest import FIXTURE_NAMES, assert_valid_dot, fixture_path
 
@@ -281,14 +279,12 @@ class TestSerialize:
 
 class TestExportDot:
     def test_product_contains_named_pair_state(self, scso_pos):
-        cc = build_cc(scso_pos, build_observer(build_gdss(scso_pos)))
-        dot = export_dot(cc)
+        dot = export_dot(Structures(scso_pos).cc)
         assert '"(x4,{x1,x5})"' in dot
         assert_valid_dot(dot)
 
     def test_empty_estimate_rendered_as_empty_braces(self, cso_not_scso):
-        cc = build_cc(cso_not_scso, build_observer(build_gdss(cso_not_scso)))
-        dot = export_dot(cc)
+        dot = export_dot(Structures(cso_not_scso).cc)
         assert '"(x5,{})"' in dot
         assert '"(u,eps)"' in dot
         assert '"(a,a)"' in dot
@@ -301,22 +297,14 @@ class TestExportDot:
     def test_every_fixture_and_structure_parses(self):
         for name in FIXTURE_NAMES:
             aut = parse(fixture_path(name).read_bytes()).to_automaton()
-            gdss = build_gdss(aut)
-            observer = build_observer(gdss)
-            structures = [
-                aut,
-                gdss,
-                build_ghat(aut),
-                observer,
-                build_cc(aut, observer),
-                build_cc(build_ghat(aut), observer),
-            ]
+            built = Structures(aut)
+            structures = [aut, built.gdss, built.ghat, built.observer, built.cc, built.cc_hat]
             for structure in structures:
                 assert_valid_dot(export_dot(structure))
 
     def test_export_is_deterministic(self, siso_neg):
-        cc = build_cc(build_ghat(siso_neg), build_observer(build_gdss(siso_neg)))
-        assert export_dot(cc) == export_dot(cc)
+        cc = Structures(siso_neg).cc_hat
+        assert export_dot(cc) == export_dot(cc) == export_dot(Structures(siso_neg).cc_hat)
 
     def test_unsupported_type_rejected(self):
         with pytest.raises(TypeError):
@@ -327,15 +315,13 @@ class TestExportDot:
 
 class TestNativeExports:
     def test_observer_document_round_trips(self, scso_pos):
-        obs = build_observer(build_gdss(scso_pos))
-        doc = document_of(obs)
+        doc = document_of(Structures(scso_pos).observer)
         assert parse(serialize(doc)) == doc
         assert "{x1,x5}" in doc.states
         assert doc.initial == ("{x0,x3}",)
 
     def test_cc_document_round_trips(self, cso_not_scso):
-        cc = build_cc(cso_not_scso, build_observer(build_gdss(cso_not_scso)))
-        doc = document_of(cc)
+        doc = document_of(Structures(cso_not_scso).cc)
         assert parse(serialize(doc)) == doc
         assert "(x5,{})" in doc.states
         assert ("(u,eps)", False) in doc.events
@@ -350,7 +336,7 @@ class TestNativeExports:
             transitions=[("q", "eps,eps", "q"), ("q", "eps,eps,eps", "q")],
             initial_states=["q"],
         )
-        cc = build_cc(aut, build_observer(aut))
+        cc = Structures(aut).cc
         for render in (document_of, export_dot):
             with pytest.raises(ValidationError, match=r"'\(eps,eps,eps,eps\)'"):
                 render(cc)

@@ -6,13 +6,13 @@ from opacheck import (
     Automaton,
     Run,
     Witness,
-    build_observer,
     check,
     check_all,
     enumerate_runs,
     project,
     replay_witness,
 )
+from opacheck.constructions import search_observer
 from opacheck.generate import fuzz_instances
 from opacheck.oracle import (
     _SHAPES,
@@ -27,7 +27,7 @@ from opacheck.oracle import (
 )
 from opacheck.verifiers import PROPERTIES
 
-from conftest import EXPECTED_VERDICTS, FIXTURE_NAMES, load_fixture, step
+from conftest import EXPECTED_VERDICTS, FIXTURE_NAMES, load_fixture
 
 ORACLES = {
     "CSO": oracle_cso,
@@ -149,17 +149,17 @@ def test_reach_trajectory_matches_estimate_automaton():
     # The oracle's reach component and the estimate observer used by the
     # current-state check walk the same subsets.
     for label, aut in fuzz_instances(40, 5, seed=777):
-        estimates = build_observer(aut)
-        assert estimates.initial is not None
+        estimates = search_observer(aut)
+        assert estimates.initial
         frontier = [((), estimates.initial)]
         for _ in range(3):
             nxt = []
-            for observation, subset in frontier:
+            for observation, number in frontier:
                 reach, _ = _fold(aut, _adjacency(aut), _SHAPES["CSO"], observation)
-                assert reach == subset, label
+                assert reach == estimates.subset(number), label
                 for event in estimates.alphabet:
-                    successor = step(estimates, subset, event)
-                    if successor is not None:
+                    successor = estimates.steps[event][number]
+                    if successor:
                         nxt.append((observation + (event,), successor))
             frontier = nxt
 

@@ -8,10 +8,8 @@ import pytest
 
 from opacheck import (
     Run,
-    build_cc,
     build_gdss,
     build_ghat,
-    build_observer,
     check,
     check_all,
     enumerate_runs,
@@ -21,7 +19,7 @@ from opacheck import (
     validate,
     Witness,
 )
-from opacheck.constructions import CCAutomaton, CCState, ObserverAutomaton, render_observer
+from opacheck.constructions import CCState, Graph, search_observer
 from opacheck.generate import IMPLICATIONS, fuzz_instances
 from opacheck.model import AllStatesSecretWarning
 from opacheck.oracle import _SHAPES, _adjacency, _fold
@@ -30,7 +28,8 @@ from opacheck.verifiers import PROPERTIES, Structures, Verdict, _realize_observa
 from conftest import (
     EXPECTED_VERDICTS,
     FIXTURE_NAMES,
-    assert_same_observer,
+    ReferenceProduct,
+    cc_state,
     chain_instances,
     fixture_path,
     larger_instances,
@@ -107,8 +106,9 @@ def test_product_witnesses_are_shortest():
 
 
 def test_siso_leak_set_is_exact(siso_neg):
-    cc = build_cc(build_ghat(siso_neg), build_observer(build_gdss(siso_neg)))
-    assert {s for s in cc.states if s.right is None} == {CCState("x4", None), CCState("x5", None)}
+    cc = Structures(siso_neg).cc_hat
+    leaking = {s for s in map(cc_state, (label for label, _ in cc.states)) if s.right is None}
+    assert leaking == {CCState("x4", None), CCState("x5", None)}
 
 
 def test_witness_only_on_request(cso_not_scso):
@@ -241,7 +241,8 @@ def reference_stats(built, prop):
     for prefix, name in SIZED[prop].items():
         structure = built[name]
         stats[f"{prefix}_states"] = len(structure.states)
-        arcs = structure.arcs.values() if isinstance(structure, CCAutomaton) else [structure.transitions]
+        product = isinstance(structure, ReferenceProduct)
+        arcs = structure.arcs.values() if product else [structure.transitions]
         stats[f"{prefix}_transitions"] = sum(map(len, arcs))
     return stats
 
@@ -318,7 +319,7 @@ def reference_check_all(g):
         offending = next(filter(bad, structure.parents), None)
         found = None
         if offending is not None:
-            if isinstance(structure, CCAutomaton):
+            if isinstance(structure, ReferenceProduct):
                 found = reference_product_witness(structure, offending)
             else:
                 found = reference_estimate_witness(g, structure, offending)
@@ -346,8 +347,8 @@ def test_realizer_matches_the_reference():
     on every realizable observation of up to four events."""
     realized = 0
     for aut in [*random_instances(200), *chain_instances()]:
-        observer = build_observer(aut)
-        level = [((), observer.initial)] if observer.initial is not None else []
+        observer = search_observer(aut)
+        level = [((), observer.initial)] if observer.initial else []
         for _ in range(5):
             for observation, _ in level:
                 expected = reference_realize(aut, observation)
@@ -355,21 +356,22 @@ def test_realizer_matches_the_reference():
                 assert _realize_observation(aut, observation) == expected, observation
                 realized += 1
             level = [
-                (observation + (event,), observer.transitions[(subset, event)])
-                for observation, subset in level
+                (observation + (event,), observer.steps[event][number])
+                for observation, number in level
                 for event in observer.alphabet
-                if (subset, event) in observer.transitions
+                if observer.steps[event][number]
             ]
     assert realized > 1000
 
 
 def test_decider_builds_no_labelled_structure(monkeypatch):
-    def refuse(self, *args, **kwargs):
-        raise AssertionError(f"{type(self).__name__} built while deciding")
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError(f"{cls.__name__} built while deciding")
 
     automata = {name: load_fixture(name) for name in FIXTURE_NAMES}
-    monkeypatch.setattr(ObserverAutomaton, "__init__", refuse)
-    monkeypatch.setattr(CCAutomaton, "__init__", refuse)
+    monkeypatch.setattr(Graph, "__new__", refuse)
+    with pytest.raises(AssertionError, match="Graph built"):
+        Structures(automata["scso_positive"]).cc
     for name, aut in automata.items():
         verdicts = check_all(aut, witness=True)
         for prop, expected in EXPECTED_VERDICTS[name].items():
@@ -401,8 +403,9 @@ def test_iso_observer_is_the_estimates_when_the_starts_close_alike():
         iso_observer = structures.observer_search(False, aut.non_secret_initials)
         assert (iso_observer is structures.observer_search(False, aut.initial_states)) is alike
         shared += alike
-        restarted = replace(aut, initial_states=aut.non_secret_initials)
-        assert_same_observer(render_observer(iso_observer), build_observer(restarted))
+        again = search_observer(replace(aut, initial_states=aut.non_secret_initials))
+        assert (iso_observer.masks, iso_observer.steps) == (again.masks, again.steps)
+        assert iso_observer.parents == again.parents
     assert 0 < shared < len(automata)
 
 
