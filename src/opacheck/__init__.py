@@ -22,10 +22,6 @@ from .model import (
     AutomatonWarning,
     Run,
     ValidationError,
-    delta_extended,
-    enumerate_runs,
-    project,
-    unobservable_reach,
     validate,
 )
 from .oracle import (
@@ -63,8 +59,6 @@ __all__ = [
     "build_ghat",
     "check",
     "check_all",
-    "delta_extended",
-    "enumerate_runs",
     "export_dot",
     "load",
     "oracle_cso",
@@ -73,9 +67,7 @@ __all__ = [
     "oracle_scso",
     "oracle_siso",
     "parse",
-    "project",
     "replay_witness",
     "serialize",
-    "unobservable_reach",
     "validate",
 ]

@@ -117,7 +117,7 @@ def _restrict(
     observability tags are inherited and the surviving states of
     ``secret`` stay secret.
     """
-    seen = _reach(initial, lambda state: (t for _, t in g.outgoing(state) if t in allowed))
+    seen = _reach(initial, (arc for arc in g.transitions if arc[2] in allowed))
     kept = [(s, e, t) for (s, e, t) in g.transitions if s in seen and t in seen]
     used_events = {e for _, e, _ in kept}
     return Automaton.build(

@@ -1,9 +1,11 @@
 """Core automaton model: nondeterministic finite automata with a
 partially observable alphabet and a set of secret states.
 
-States and events are opaque strings ordered lexicographically; every
-operation iterates in that order so results are reproducible.  Automaton
-and Run values are immutable and all functions here are pure.
+It holds the :class:`Automaton` with its closure tables
+(:class:`ClosedImages`), the :class:`Run` a witness carries, and
+:func:`validate`.  States and events are opaque strings ordered
+lexicographically; every operation iterates in that order so results
+are reproducible.  Automaton and Run values are immutable.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Transition = tuple[str, str, str]
 
@@ -84,7 +86,7 @@ class Automaton:
     see; the remaining events are silent.  ``secret_states`` marks the
     states whose visits the system wants to keep deniable.
     ``transitions`` is sorted and free of repeats (:meth:`build` makes it
-    so); the indexes below keep that order instead of sorting again.
+    so); the product search groups it in that order instead of sorting.
     """
 
     states: tuple[str, ...]
@@ -139,13 +141,6 @@ class Automaton:
         return frozenset(self.events)
 
     @cached_property
-    def _out(self) -> dict[str, tuple[tuple[str, str], ...]]:
-        by_src: dict[str, list[tuple[str, str]]] = {x: [] for x in self.states}
-        for src, event, dst in self.transitions:
-            by_src[src].append((event, dst))
-        return {x: tuple(pairs) for x, pairs in by_src.items()}
-
-    @cached_property
     def _closed_images(self) -> "ClosedImages":
         """The tables of the bit-mask searches (see :class:`ClosedImages`)."""
         return self._images(self._state_set)
@@ -185,14 +180,6 @@ class Automaton:
                 packed[i] |= closures[dst] << shift[event]
         return ClosedImages(closures, packed, degree, secret)
 
-    def outgoing(self, state: str) -> tuple[tuple[str, str], ...]:
-        """All (event, target) pairs leaving ``state``, sorted."""
-        return self._out.get(state, ())
-
-    def successors(self, state: str, event: str) -> tuple[str, ...]:
-        """Targets of ``event``-labelled transitions from ``state``, sorted."""
-        return tuple([dst for label, dst in self.outgoing(state) if label == event])
-
 
 @dataclass(frozen=True)
 class Run:
@@ -206,28 +193,8 @@ class Run:
         return tuple(event for event, _ in self.steps)
 
     @property
-    def visited(self) -> tuple[str, ...]:
-        """All states touched by the run, in order, including the start."""
-        return (self.start,) + tuple(state for _, state in self.steps)
-
-    @property
     def end(self) -> str:
         return self.steps[-1][1] if self.steps else self.start
-
-    def is_valid(self, aut: Automaton) -> bool:
-        """True when every step follows a declared transition of ``aut``."""
-        if self.start not in aut._state_set:
-            return False
-        here = self.start
-        for event, state in self.steps:
-            if state not in aut.successors(here, event):
-                return False
-            here = state
-        return True
-
-    def is_non_secret(self, aut: Automaton) -> bool:
-        """True when no visited state (including the start) is secret."""
-        return all(state not in aut.secret_states for state in self.visited)
 
 
 Entries = Sequence[tuple[object, "int | None"]]
@@ -293,10 +260,10 @@ def validate(
     states are all secret is accepted with an
     :class:`AllStatesSecretWarning`.
 
-    Raises :class:`ValidationError` for a transition that is not a
-    triple or an event that is not a pair, for anything
-    :func:`check_description` rejects, and for an empty state set
-    (possibly after pruning).
+    Raises :class:`ValidationError` for a group of states given as one
+    string, a transition that is not a triple or an event that is not a
+    pair, for anything :func:`check_description` rejects, and for an
+    empty state set (possibly after pruning).
     """
     return _assemble(*_checked(states, events, transitions, initial_states, secret_states))
 
@@ -304,6 +271,9 @@ def validate(
 def _checked(states, events, transitions, initial, secret) -> tuple[tuple, ...]:
     """The five groups in one shape (transitions as tuples, event flags
     as bools, names as given), after :func:`check_description` passed them."""
+    for group, kind in ((states, "states"), (initial, "initial states"), (secret, "secret states")):
+        if isinstance(group, str):  # it would split into one-character names
+            raise ValidationError(f"bad {kind} {group!r}: must be a collection of names, not a string")
     groups = (
         tuple(states),
         tuple((name, bool(flag)) for name, flag in _sized(events, 2, "event", "a (name, flag) pair")),
@@ -334,10 +304,7 @@ def _assemble(states, events, transitions, initial, secret) -> Automaton:
     """Build the automaton of a checked description, pruning and warning
     as :func:`validate` says.  The warnings point at the caller of the
     function that called this one."""
-    by_src: dict[str, list[str]] = {state: [] for state in states}
-    for src, _, dst in transitions:
-        by_src[src].append(dst)
-    reachable = _reach(initial, by_src.__getitem__)
+    reachable = _reach(initial, transitions)
     pruned = tuple(sorted(set(states) - reachable))
     if pruned:
         warnings.warn(PrunedStatesWarning(pruned), stacklevel=3)
@@ -358,80 +325,16 @@ def _assemble(states, events, transitions, initial, secret) -> Automaton:
     )
 
 
-def _reach(sources: Iterable[str], successors: Callable[[str], Iterable[str]]) -> set[str]:
-    """``sources`` and every state reachable from them along ``successors``."""
+def _reach(sources: Iterable[str], transitions: Iterable[Transition]) -> set[str]:
+    """``sources`` and every state reachable from them along ``transitions``."""
+    targets: dict[str, list[str]] = {}
+    for src, _, dst in transitions:
+        targets.setdefault(src, []).append(dst)
     seen = set(sources)
     frontier = list(seen)
     while frontier:
-        for dst in successors(frontier.pop()):
+        for dst in targets.get(frontier.pop(), ()):
             if dst not in seen:
                 seen.add(dst)
                 frontier.append(dst)
     return seen
-
-
-def _require_states(aut: Automaton, src: Iterable[str]) -> frozenset[str]:
-    members = frozenset(src)
-    unknown = members - aut._state_set
-    if unknown:
-        raise ValueError(f"unknown states: {sorted(unknown)}")
-    return members
-
-
-def unobservable_reach(aut: Automaton, src: Iterable[str]) -> frozenset[str]:
-    """All states reachable from ``src`` via zero or more silent transitions.
-
-    This is a closure operator: the result contains ``src``, is monotone
-    in it, and applying it twice changes nothing.
-    """
-    mask = aut._closed_images.closure(_require_states(aut, src))
-    return frozenset([x for i, x in enumerate(aut.states) if mask >> i & 1])
-
-
-def delta_extended(aut: Automaton, src: Iterable[str], seq: Sequence[str]) -> frozenset[str]:
-    """States reachable from ``src`` under exactly the event sequence ``seq``.
-
-    Silent events are consumed like any other; no implicit closure is
-    taken.  The result is empty when no run realizes the sequence.
-    """
-    current = _require_states(aut, src)
-    for event in seq:
-        if event not in aut._event_set:
-            raise ValueError(f"unknown event: {event!r}")
-        nxt: set[str] = set()
-        for state in current:
-            nxt.update(aut.successors(state, event))
-        current = frozenset(nxt)
-        if not current:
-            break
-    return frozenset(current)
-
-
-def project(aut: Automaton, seq: Sequence[str]) -> tuple[str, ...]:
-    """Erase silent events from ``seq``, preserving order."""
-    for event in seq:
-        if event not in aut._event_set:
-            raise ValueError(f"unknown event: {event!r}")
-    return tuple(event for event in seq if event in aut.observable)
-
-
-def enumerate_runs(aut: Automaton, max_len: int) -> Iterator[Run]:
-    """Yield every run of length at most ``max_len`` from the initial states.
-
-    Order is deterministic: by length, then lexicographically by event
-    sequence, breaking ties by start state and visited states.
-    """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    level = [Run(state) for state in sorted(aut.initial_states)]
-    yield from level
-    for _ in range(max_len):
-        nxt: list[Run] = []
-        for run in level:
-            for event, target in aut.outgoing(run.end):
-                nxt.append(Run(run.start, run.steps + ((event, target),)))
-        if not nxt:
-            return
-        nxt.sort(key=lambda run: (run.events, run.start, run.visited))
-        yield from nxt
-        level = nxt

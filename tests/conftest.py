@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from opacheck import load, validate
+from opacheck import Run, load, validate
 from opacheck.constructions import CCState, Graph, cc_label, pair_label, subset_label
 from opacheck.generate import fuzz_automaton, random_automaton
 
@@ -106,6 +106,85 @@ def chain(length, event_of):
     return names, transitions, [(e, e != "u") for e in events]
 
 
+# --- brute-force runs ---------------------------------------------------------
+#
+# Runs, their observations and their steps, read straight off the
+# transition list.  The library decides on bit-mask tables and never
+# enumerates runs; these are the slow reference the tests compare with.
+
+# Keyed by id, because hashing an automaton costs more than a lookup
+# saves; each entry holds its automaton, so no other one reuses the id.
+_OUTGOING = {}  # id(aut) -> (aut, {state: ((event, target), ...)})
+
+
+def outgoing(aut, state):
+    """All (event, target) pairs leaving ``state``, sorted."""
+    entry = _OUTGOING.get(id(aut))
+    if entry is None:
+        by_src = {}
+        for src, event, dst in aut.transitions:
+            by_src.setdefault(src, []).append((event, dst))
+        entry = _OUTGOING[id(aut)] = (aut, {x: tuple(pairs) for x, pairs in by_src.items()})
+    return entry[1].get(state, ())
+
+
+def successors(aut, state, event):
+    """Targets of ``event``-labelled transitions from ``state``, sorted."""
+    return tuple(dst for label, dst in outgoing(aut, state) if label == event)
+
+
+def visited(run):
+    """All states touched by ``run``, in order, including the start."""
+    return (run.start,) + tuple(state for _, state in run.steps)
+
+
+def is_valid(run, aut):
+    """True when every step of ``run`` follows a declared transition of ``aut``."""
+    if run.start not in aut.states:
+        return False
+    here = run.start
+    for event, state in run.steps:
+        if state not in successors(aut, here, event):
+            return False
+        here = state
+    return True
+
+
+def is_non_secret(run, aut):
+    """True when no state ``run`` visits (including the start) is secret."""
+    return all(state not in aut.secret_states for state in visited(run))
+
+
+def project(aut, seq):
+    """Erase silent events from ``seq``, preserving order."""
+    for event in seq:
+        if event not in aut.events:
+            raise ValueError(f"unknown event: {event!r}")
+    return tuple(event for event in seq if event in aut.observable)
+
+
+def enumerate_runs(aut, max_len):
+    """Yield every run of length at most ``max_len`` from the initial states.
+
+    Order is deterministic: by length, then lexicographically by event
+    sequence, breaking ties by start state and visited states.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    level = [Run(state) for state in sorted(aut.initial_states)]
+    yield from level
+    for _ in range(max_len):
+        nxt = []
+        for run in level:
+            for event, target in outgoing(aut, run.end):
+                nxt.append(Run(run.start, run.steps + ((event, target),)))
+        if not nxt:
+            return
+        nxt.sort(key=lambda run: (run.events, run.start, visited(run)))
+        yield from nxt
+        level = nxt
+
+
 # --- reference constructions ---------------------------------------------
 #
 # The observer and the product as first written: a silent-closure search
@@ -152,7 +231,7 @@ def silent_closure(aut, sources):
     seen = set(sources)
     frontier = list(seen)
     while frontier:
-        for event, target in aut.outgoing(frontier.pop()):
+        for event, target in outgoing(aut, frontier.pop()):
             if event not in aut.observable and target not in seen:
                 seen.add(target)
                 frontier.append(target)
@@ -170,7 +249,7 @@ def reference_observer(src):
         for event in alphabet:
             image = set()
             for state in subset:
-                image.update(src.successors(state, event))
+                image.update(successors(src, state, event))
             if not image:
                 continue
             successor = silent_closure(src, image)
@@ -190,7 +269,7 @@ def reference_cc(left, obs):
     while queue:
         src = queue.popleft()
         out = []
-        for event, target in left.outgoing(src.left):
+        for event, target in outgoing(left, src.left):
             if event in left.observable:
                 pair = (event, event)
                 right = None if src.right is None else step(obs, src.right, event)

@@ -14,15 +14,13 @@ from opacheck import (
     build_gdss,
     check,
     check_all,
-    enumerate_runs,
     export_dot,
-    project,
 )
 from opacheck.constructions import CCState
 from opacheck.generate import IMPLICATIONS, fuzz_instances, random_automaton, run_campaign
 from opacheck.verifiers import PROPERTIES, Structures
 
-from conftest import cc_state, load_fixture, product_arcs
+from conftest import cc_state, enumerate_runs, load_fixture, product_arcs, project, successors
 from test_constructions import core_search, observer_words, states_with_observation
 
 CAMPAIGN_SEED = 20260810
@@ -189,7 +187,7 @@ def test_criterion_9():
         # system whose pair components project equally, so every product
         # path satisfies both inclusions.
         for src, (event, right_part), dst in arcs:
-            assert dst.left in aut.successors(src.left, event), label
+            assert dst.left in successors(aut, src.left, event), label
             if event in aut.observable:
                 assert right_part == event, label
             else:

@@ -41,12 +41,22 @@ def run_cli(capsys, *argv):
 
 def test_public_api():
     """Every public name resolves, the version is the package's, and the
-    labelled observer and product types of 0.1 are gone."""
+    labelled observer and product types of 0.1 are gone, as are the run
+    helpers nothing in the library used."""
     for name in opacheck.__all__:
         assert getattr(opacheck, name) is not None, name
     assert len(set(opacheck.__all__)) == len(opacheck.__all__)
     for name in ("ObserverAutomaton", "CCAutomaton", "build_observer", "build_cc"):
         assert name not in opacheck.__all__ and not hasattr(opacheck, name), name
+    for name in ("delta_extended", "enumerate_runs", "project", "unobservable_reach"):
+        assert name not in opacheck.__all__ and not hasattr(opacheck, name), name
+        assert not hasattr(opacheck.model, name), name
+    for cls, names in (
+        (opacheck.Automaton, ("outgoing", "successors", "_out")),
+        (opacheck.Run, ("visited", "is_valid", "is_non_secret")),
+    ):
+        for name in names:
+            assert not hasattr(cls, name), (cls.__name__, name)
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == opacheck.__version__
 

@@ -7,8 +7,6 @@ from opacheck import (
     Automaton,
     build_gdss,
     build_ghat,
-    enumerate_runs,
-    project,
     validate,
 )
 from opacheck.constructions import (
@@ -29,16 +27,22 @@ from conftest import (
     cc_state,
     chain,
     chain_instances,
+    enumerate_runs,
     event_pair,
     graph_step,
+    is_non_secret,
+    is_valid,
     larger_instances,
+    outgoing,
     product_arcs,
     product_tree,
+    project,
     random_instances,
     reference_cc,
     reference_graph,
     reference_observer,
     subset_tree,
+    successors,
 )
 
 
@@ -48,7 +52,7 @@ def bfs_states(aut, sources, allowed):
     frontier = list(seen)
     while frontier:
         state = frontier.pop()
-        for _, target in aut.outgoing(state):
+        for _, target in outgoing(aut, state):
             if target in allowed and target not in seen:
                 seen.add(target)
                 frontier.append(target)
@@ -63,7 +67,7 @@ def states_with_observation(aut, observation):
     frontier = list(seen)
     while frontier:
         state, consumed = frontier.pop()
-        for event, dst in aut.outgoing(state):
+        for event, dst in outgoing(aut, state):
             if event in aut.observable:
                 if consumed < target and event == observation[consumed]:
                     node = (dst, consumed + 1)
@@ -147,8 +151,8 @@ class TestBuildGdss:
             endpoints = set(gdss.initial_states)
             for run in enumerate_runs(gdss, len(gdss.states)):
                 endpoints.add(run.end)
-                assert run.is_valid(aut)
-                assert run.is_non_secret(aut)
+                assert is_valid(run, aut)
+                assert is_non_secret(run, aut)
             assert endpoints == set(gdss.states)
 
 
@@ -202,7 +206,7 @@ class TestBuildObserver:
             for number, successor in enumerate(row):
                 if successor:
                     (src,) = search.subset(number)
-                    assert search.subset(successor) == frozenset(aut.successors(src, event))
+                    assert search.subset(successor) == frozenset(successors(aut, src, event))
 
     def test_empty_source(self):
         with pytest.warns(AllStatesSecretWarning):
@@ -286,14 +290,14 @@ class TestBuildCc:
         # observation: the silent-erased left word equals the right word.
         for aut in random_instances(25, max_states=5):
             cc = Structures(aut).cc
-            outgoing = {}
+            leaving = {}
             for src, pair, dst in cc.transitions:
-                outgoing.setdefault(src, []).append((event_pair(pair), dst))
+                leaving.setdefault(src, []).append((event_pair(pair), dst))
             frontier = [(state, (), ()) for state in cc.initial]
             for _ in range(4):
                 nxt = []
                 for state, left_word, right_word in frontier:
-                    for (event, right_part), dst in outgoing.get(state, ()):
+                    for (event, right_part), dst in leaving.get(state, ()):
                         extended_left = left_word + (event,)
                         extended_right = (
                             right_word if right_part is None else right_word + (right_part,)
@@ -585,7 +589,7 @@ def assert_count_matches_walk(aut):
         count = count_product(left, left.initial_states, obs.initial, obs.steps)
         walk = search_product(left, left.initial_states, obs.initial, obs.steps)
         walk.drain()
-        arcs = sum(len(left.outgoing(walk.left_of(key))) for key in walk.parents)
+        arcs = sum(len(outgoing(left, walk.left_of(key))) for key in walk.parents)
         assert (count.states, count.transitions) == (len(walk.parents), arcs)
         assert walk.collapsed == [key for key in walk.parents if key < len(left.states)]
         assert count.collapsed == sum(1 << key for key in walk.collapsed)

@@ -183,8 +183,18 @@ class TestDocument:
             # Entries of another length are rejected with a message.
             (("a",), (("e", True),), (("a", "e"),), ("a",), "bad transition ('a', 'e')"),
             (("a",), (("e",),), (), ("a",), "bad event ('e',)"),
+            # A group of names given as one string is rejected, not split.
+            ("ab", (), (), ("a",), "bad states 'ab'"),
+            (("a",), (), (), "a", "bad initial states 'a'"),
         ],
-        ids=["int-event-name", "list-transition", "short-transition", "unpaired-event"],
+        ids=[
+            "int-event-name",
+            "list-transition",
+            "short-transition",
+            "unpaired-event",
+            "string-states",
+            "string-initial",
+        ],
     )
     def test_entry_shapes_match_validate(self, states, events, transitions, initial, error):
         def outcome(build):

@@ -8,8 +8,6 @@ from opacheck import (
     Witness,
     check,
     check_all,
-    enumerate_runs,
-    project,
     replay_witness,
 )
 from opacheck.constructions import search_observer
@@ -27,7 +25,14 @@ from opacheck.oracle import (
 )
 from opacheck.verifiers import PROPERTIES
 
-from conftest import EXPECTED_VERDICTS, FIXTURE_NAMES, load_fixture
+from conftest import (
+    EXPECTED_VERDICTS,
+    FIXTURE_NAMES,
+    enumerate_runs,
+    is_non_secret,
+    load_fixture,
+    project,
+)
 
 ORACLES = {
     "CSO": oracle_cso,
@@ -133,7 +138,7 @@ def test_safe_set_matches_exhaustive_run_enumeration():
         endpoints_by_obs: dict[tuple, set] = {}
         for run in enumerate_runs(aut, bound):
             observation = project(aut, run.events)
-            if len(observation) <= max_obs_len and run.is_non_secret(aut):
+            if len(observation) <= max_obs_len and is_non_secret(run, aut):
                 endpoints_by_obs.setdefault(observation, set()).add(run.end)
         observations = {
             project(aut, run.events) for run in enumerate_runs(aut, max_obs_len)

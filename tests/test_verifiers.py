@@ -12,9 +12,7 @@ from opacheck import (
     build_ghat,
     check,
     check_all,
-    enumerate_runs,
     load,
-    project,
     replay_witness,
     validate,
     Witness,
@@ -31,9 +29,13 @@ from conftest import (
     ReferenceProduct,
     cc_state,
     chain_instances,
+    enumerate_runs,
     fixture_path,
+    is_valid,
     larger_instances,
     load_fixture,
+    outgoing,
+    project,
     random_instances,
     reference_cc,
     reference_observer,
@@ -139,7 +141,7 @@ def test_cso_witness_realizes_observation(siso_not_scso):
     witness = verdict.witness
     assert witness.observation == ("a",)
     assert witness.offending_state == frozenset({"x2"})
-    assert witness.run.is_valid(siso_not_scso)
+    assert is_valid(witness.run, siso_not_scso)
     assert witness.run.end in siso_not_scso.secret_states
     assert replay_witness(siso_not_scso, witness, "CSO")
 
@@ -281,7 +283,7 @@ def reference_realize(g, observation):
         if consumed == target:
             start, steps = tree_path(parents, node)
             return Run(start[0], tuple((event, dst) for event, (dst, _) in steps))
-        for event, dst in g.outgoing(state):
+        for event, dst in outgoing(g, state):
             if event not in g.observable:
                 successor = (dst, consumed)
             elif event == observation[consumed]:
