@@ -43,9 +43,9 @@ a :class:`Graph`, in label order.
   int ``e * n + i``, n being the number of left states, so collapsed
   states are the keys below n.  It groups each left state's arcs by
   event once, so a product state looks up the observer's step once per
-  event, not once per arc.  Its walk is resumable: it stops at the first
-  collapsed state asked for and goes on from there when asked again, so
-  the discovery order is that of one whole search.
+  event, not once per arc.  Its walk stops as soon as it discovers a
+  collapsed state whose left state is in the mask its caller gives, so a
+  stopped walk is a prefix of the whole walk, in the same discovery order.
 
 Both start the product at given left states, so the product of a part of
 an automaton that keeps every arc out of its states, such as ``Ĝ``, is
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
 from operator import itemgetter, or_
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .model import Automaton, _reach
 
@@ -323,86 +323,49 @@ def count_product(
 ArcGroup = tuple[EventPair, "list[int] | None", tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class ProductSearch:
-    """The product's breadth-first search, on int keys, walked only as
-    far as asked.
+class ProductSearch(NamedTuple):
+    """The product's breadth-first search, on int keys, walked until it
+    stopped (see :func:`search_product`).
 
     The state (left state i, estimate number e) has key ``e * n + i``,
     where n is the number of left states, so the collapsed states are
-    exactly the keys below n.  ``parents`` maps each key discovered so
-    far, in discovery order, to the (key, event pair) it was first
-    reached from, and each initial key to None.  ``collapsed`` lists the
-    collapsed keys discovered so far, in discovery order.  Arcs are not
-    stored: ``groups`` gives them per left state.
-
-    The walk is resumed where it stopped, so walking in steps discovers
-    the same keys in the same order as walking at once.
+    exactly the keys below n.  ``parents`` maps each key discovered, in
+    discovery order, to the (key, event pair) it was first reached from,
+    and each initial key to None.  ``collapsed`` lists the collapsed keys
+    discovered, in discovery order.  Arcs are not stored: ``groups``
+    gives them per left state.
     """
 
     left: Automaton
     groups: list[list[ArcGroup]]
-    initial_keys: tuple[int, ...]
     parents: dict[int, "tuple[int, EventPair] | None"]
     collapsed: list[int]
-    _discoveries: Iterator[int]
 
     def first_collapsed(self, within: int) -> "int | None":
-        """The first collapsed key in discovery order whose left state is
-        in the mask ``within``, or None.  The walk stops as soon as that
-        key is discovered."""
-        for key in self.collapsed:
-            if within >> key & 1:
-                return key
-        for key in self._discoveries:
-            self.collapsed.append(key)
-            if within >> key & 1:
-                return key
-        return None
-
-    def drain(self) -> None:
-        """Walk the rest of the product."""
-        self.collapsed.extend(self._discoveries)
+        """The first collapsed key discovered whose left state is in the
+        mask ``within``, or None."""
+        return next((key for key in self.collapsed if within >> key & 1), None)
 
     def left_of(self, key: int) -> str:
         return self.left.states[key % len(self.left.states)]
 
 
-def _walk(n: int, groups: list[list[ArcGroup]], parents: dict, roots: tuple[int, ...]) -> Iterator[int]:
-    """The breadth-first search of :class:`ProductSearch`: fills
-    ``parents`` in discovery order and yields each collapsed key as it
-    is discovered."""
-    for key in roots:
-        if key < n:
-            yield key
-    order = list(roots)
-    for key in order:  # order grows while it is walked
-        estimate, state = divmod(key, n)
-        for pair, row, targets in groups[state]:
-            # Row entry 0 is 0, so the collapsed estimate stays collapsed.
-            base = (estimate if row is None else row[estimate]) * n
-            for target in targets:
-                dst = base + target
-                if dst not in parents:
-                    parents[dst] = (key, pair)
-                    order.append(dst)
-                    if dst < n:
-                        yield dst
-
-
 def search_product(
-    left: Automaton, roots: Iterable[str], initial: int, steps: Mapping[str, list[int]]
+    left: Automaton, roots: Iterable[str], initial: int, steps: Mapping[str, list[int]], stop: int = 0
 ) -> ProductSearch:
     """Breadth-first search of the product of ``left``, started at its
     states ``roots``, with an observer given by its initial estimate
     number (0 for none) and a step row per observable event of ``left``
-    (see :class:`ObserverSearch`).
-    Nothing is walked until asked.
+    (see :class:`ObserverSearch`), walked until it discovers a collapsed
+    key whose left state is in the mask ``stop`` (a root counts as
+    discovered): with 0, the whole product.  A stopped walk is a prefix
+    of the whole walk.
 
     The arcs of each left state are grouped by event once, so a product
     state looks up the observer's step once per event, not once per arc.
     """
     names = left.states
+    n = len(names)
     index = {x: i for i, x in enumerate(names)}
     groups: list[list[ArcGroup]] = [[] for _ in names]
     # left.transitions is sorted by (source, event, target), so each
@@ -414,9 +377,27 @@ def search_product(
         else:
             group = ((event, None), None, targets)
         groups[index[state]].append(group)
-    keys = tuple(initial * len(names) + index[x] for x in sorted(roots))
-    parents: dict[int, "tuple[int, EventPair] | None"] = dict.fromkeys(keys)
-    return ProductSearch(left, groups, keys, parents, [], _walk(len(names), groups, parents, keys))
+    order = [initial * n + index[x] for x in sorted(roots)]
+    parents: dict[int, "tuple[int, EventPair] | None"] = dict.fromkeys(order)
+    collapsed = [key for key in order if key < n]
+    search = ProductSearch(left, groups, parents, collapsed)
+    if search.first_collapsed(stop) is not None:
+        return search
+    for key in order:  # order grows while it is walked
+        estimate, state = divmod(key, n)
+        for pair, row, targets in groups[state]:
+            # Row entry 0 is 0, so the collapsed estimate stays collapsed.
+            base = (estimate if row is None else row[estimate]) * n
+            for target in targets:
+                dst = base + target
+                if dst not in parents:
+                    parents[dst] = (key, pair)
+                    order.append(dst)
+                    if dst < n:
+                        collapsed.append(dst)
+                        if stop >> dst & 1:
+                            return search
+    return search
 
 
 def _estimate_labels(search: ObserverSearch) -> tuple[list[str], list[int]]:
@@ -460,7 +441,6 @@ def product_graph(left: Automaton, observer: ObserverSearch) -> Graph:
     order; each state's arcs follow ``left``'s transitions.
     """
     search = search_product(left, left.initial_states, observer.initial, observer.steps)
-    search.drain()
     estimates, order = _estimate_labels(observer)
     rank = {number: position for position, number in enumerate(order)}
     names = left.states
@@ -485,7 +465,7 @@ def product_graph(left: Automaton, observer: ObserverSearch) -> Graph:
     return Graph(
         "product",
         [(label[key], names[key % n] in secret) for key in keys],
-        [label[key] for key in search.initial_keys],
+        [label[key] for key, link in search.parents.items() if link is None],
         [(text, pair[1] is not None) for pair, text in pairs.items()],
         transitions,
     )

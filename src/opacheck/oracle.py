@@ -216,6 +216,12 @@ def replay_witness(g: Automaton, witness: Witness, prop: str) -> bool:
         raise ValueError(f"unknown property: {prop!r}")
 
     run = witness.run
+    try:  # a run from outside: steps may not be iterable, or not be pairs
+        names = [run.start, *[name for event, state in run.steps for name in (event, state)]]
+    except (TypeError, ValueError):
+        names = [None]
+    if not all(isinstance(name, str) for name in names):
+        raise MalformedWitness("a run is a start state and (event, state) steps, all names")
     if run.events != witness.event_sequence:
         raise MalformedWitness("run events disagree with the witness event sequence")
     for event in witness.event_sequence:

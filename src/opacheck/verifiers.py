@@ -23,8 +23,8 @@ mask of its collapsed states; it is walked breadth-first only when a
 witness is asked for and a bad state exists, and the walk stops at the
 first bad state in discovery order, whose tree path is a shortest
 witness.  SCSO and INF_SSO share one walk of the same product: every
-SCSO-bad state is INF_SSO-bad, so whichever is decided second resumes
-the walk or finds its state already discovered.  A CSO witness's run is
+SCSO-bad state is INF_SSO-bad and SCSO is decided first, so its walk
+holds INF_SSO's first bad state.  A CSO witness's run is
 read off the walk of g with the automaton of its observation.  Labels
 are made only for a witness's path.  The five structures ``export``
 writes are attributes of :class:`Structures`, built on request and never
@@ -153,7 +153,9 @@ class Structures:
     def __init__(self, g: Automaton):
         self.g = g
         self._observers: dict[tuple[bool, int], ObserverSearch] = {}
-        self._products: dict[tuple, "ProductCount | ProductSearch"] = {}
+        # Keyed by a row's product, spec[:3]: SCSO and INF_SSO share theirs.
+        self._counts: dict[tuple, ProductCount] = {}
+        self._walks: dict[tuple, ProductSearch] = {}
 
     @cached_property
     def gdss(self) -> Automaton:
@@ -176,20 +178,24 @@ class Structures:
         return self._observers[key]
 
     def count(self, spec: _Spec) -> ProductCount:
-        return self._product(count_product, spec)
+        key = spec[:3]
+        if key not in self._counts:
+            self._counts[key] = count_product(*self._product(spec))
+        return self._counts[key]
 
-    def walk(self, spec: _Spec) -> ProductSearch:
-        return self._product(search_product, spec)
+    def walk(self, spec: _Spec, bad: int) -> ProductSearch:
+        """The row's product walked at least as far as its first state
+        whose left state is in the mask ``bad``: a walk of the product
+        that already got there, or a new one that stops there."""
+        search = self._walks.get(spec[:3])
+        if search is None or search.first_collapsed(bad) is None:
+            search = self._walks[spec[:3]] = search_product(*self._product(spec), stop=bad)
+        return search
 
-    def _product(self, make, spec: _Spec):
-        """``make`` (count or walk) of the row's product, once per
-        product: SCSO and INF_SSO share theirs."""
-        key = (make, spec.start, spec.core, spec.observed_from)
-        if key not in self._products:
-            g = self.g
-            obs = self.observer_search(spec.core, getattr(g, spec.observed_from))
-            self._products[key] = make(g, getattr(g, spec.start), obs.initial, obs.steps)
-        return self._products[key]
+    def _product(self, spec: _Spec) -> tuple:
+        g = self.g
+        obs = self.observer_search(spec.core, getattr(g, spec.observed_from))
+        return g, getattr(g, spec.start), obs.initial, obs.steps
 
     def _core_observer(self) -> ObserverSearch:
         return self.observer_search(True, self.g.non_secret_initials)
@@ -212,10 +218,7 @@ class Structures:
 
 
 def _decide(structures: Structures, prop: str, witness: bool) -> Verdict:
-    try:
-        spec = _SPECS[prop]
-    except KeyError:
-        raise ValueError(f"unknown property: {prop!r}") from None
+    spec = _SPECS[prop]
     g = structures.g
     secret = g._closed_images.secret
     observer = structures.observer_search(spec.core, getattr(g, spec.observed_from))
@@ -241,7 +244,7 @@ def _decide(structures: Structures, prop: str, witness: bool) -> Verdict:
     if spec.secret_only:
         bad &= secret  # every product's left automaton is g
     if witness and bad:
-        search = structures.walk(spec)
+        search = structures.walk(spec, bad)
         found = _product_witness(search, search.first_collapsed(bad))
     return Verdict(prop, not bad, found, stats)
 
@@ -256,11 +259,18 @@ def _extent(masks: Iterable[int], tables: ClosedImages) -> tuple[int, int]:
 def check_all(
     g: Automaton, witness: bool = False, properties: Iterable[str] = PROPERTIES
 ) -> dict[str, Verdict]:
-    """Decide ``properties`` (all five by default), in the order given,
-    sharing the constructed structures between them.  Raises ValueError
-    for an unknown property."""
+    """Decide ``properties`` (all five by default), sharing the
+    constructed structures between them; the verdicts come in the order
+    given.  Raises ValueError for an unknown property before deciding
+    any.  They are decided in ``PROPERTIES`` order, so SCSO's walk, which
+    holds INF_SSO's first bad state, serves both."""
+    properties = list(properties)
+    for prop in properties:
+        if prop not in _SPECS:
+            raise ValueError(f"unknown property: {prop!r}")
     structures = Structures(g)
-    return {prop: _decide(structures, prop, witness) for prop in properties}
+    verdicts = {prop: _decide(structures, prop, witness) for prop in PROPERTIES if prop in properties}
+    return {prop: verdicts[prop] for prop in properties}
 
 
 def check(g: Automaton, prop: str, witness: bool = False) -> Verdict:
@@ -311,5 +321,5 @@ def _realize_observation(g: Automaton, observation: tuple[str, ...]) -> Run:
     steps = {event: [0] + [k + 1] * (k + 1) for event in g.observable}
     for position, event in enumerate(observation):
         steps[event][k - position] = k - position - 1
-    search = search_product(g, g.initial_states, k, steps)
+    search = search_product(g, g.initial_states, k, steps, stop=-1)
     return _product_witness(search, search.first_collapsed(-1)).run

@@ -350,7 +350,7 @@ def subset_tree(search):
 
 
 def product_tree(walk, observer):
-    """A drained product walk's breadth-first tree over CCStates, its
+    """A whole product walk's breadth-first tree over CCStates, its
     estimates numbered as in ``observer``."""
     n = len(walk.left.states)
     state = lambda key: CCState(walk.left_of(key), observer.subset(key // n) or None)

@@ -424,7 +424,6 @@ class TestBreadthFirstTree:
             obs = core_search(aut)
             for left, cc in ((aut, structures.cc), (structures.ghat, structures.cc_hat)):
                 walk = search_product(left, left.initial_states, obs.initial, obs.steps)
-                walk.drain()
                 arcs = set(cc.transitions)
                 self.check_tree(
                     product_tree(walk, obs),
@@ -466,7 +465,6 @@ def assert_matches_reference(aut):
         product = reference_cc(left, expected[source])
         assert product_graph(left, search) == reference_graph(product)
         walk = search_product(left, left.initial_states, search.initial, search.steps)
-        walk.drain()
         assert list(product_tree(walk, search).items()) == list(product.parents.items())
     assert structures.cc == reference_graph(reference_cc(aut, expected[gdss]))
     assert structures.cc_hat == reference_graph(reference_cc(ghat, expected[gdss]))
@@ -571,8 +569,8 @@ class TestMatchesReference:
 # --- counting a product ------------------------------------------------------
 #
 # The deciders take a product's sizes and collapsed states from a fixpoint
-# over one mask of left states per estimate; the breadth-first walk,
-# drained, must find the same.
+# over one mask of left states per estimate; the whole breadth-first
+# walk must find the same.
 
 
 def assert_count_matches_walk(aut):
@@ -588,7 +586,6 @@ def assert_count_matches_walk(aut):
     for left, obs in ((aut, core), (ghat, core), (ghat, iso_observer), (aut, estimates)):
         count = count_product(left, left.initial_states, obs.initial, obs.steps)
         walk = search_product(left, left.initial_states, obs.initial, obs.steps)
-        walk.drain()
         arcs = sum(len(outgoing(left, walk.left_of(key))) for key in walk.parents)
         assert (count.states, count.transitions) == (len(walk.parents), arcs)
         assert walk.collapsed == [key for key in walk.parents if key < len(left.states)]
@@ -606,7 +603,6 @@ def assert_count_matches_walk(aut):
         walks.append(search_product(ghat, ghat.initial_states, obs.initial, obs.steps))
         order = []
         for walk in walks:
-            walk.drain()
             n = len(walk.left.states)
             label = lambda key: (walk.left_of(key), key // n)
             order.append(
@@ -677,3 +673,37 @@ class TestCountMatchesWalk:
         assert structures.count(_SPECS["SCSO"]).collapsed == 1 << aut.states.index("s")
         assert structures.count(_SPECS["SISO"]) == (0, 0, 0, 0)
         assert_count_matches_walk(aut)
+
+
+# --- stopping a product walk ---------------------------------------------
+#
+# A witness walk stops at the first bad state it discovers.  Stopped
+# anywhere, it must have discovered exactly what the whole walk discovers
+# up to that state, in the same order, so that its tree path is the
+# whole walk's and a later caller may reuse it.
+
+
+@pytest.mark.parametrize(
+    "instances",
+    [lambda: random_instances(200), larger_instances, chain_instances],
+    ids=["fuzz", "larger", "chains"],
+)
+def test_stopped_walk_is_a_prefix_of_the_whole_walk(instances):
+    stopped_early = 0
+    for aut in instances():
+        n = len(aut.states)
+        for obs in (core_search(aut), search_observer(aut)):
+            args = (aut, aut.initial_states, obs.initial, obs.steps)
+            whole = search_product(*args)
+            items = list(whole.parents.items())
+            roots = sum(link is None for _, link in items)
+            for key in whole.collapsed:
+                walk = search_product(*args, stop=1 << key)
+                # It stops at ``key``, or, for a root, once the roots are in.
+                length = max(list(whole.parents).index(key) + 1, roots)
+                assert list(walk.parents.items()) == items[:length]
+                assert walk.collapsed == [k for k in walk.parents if k < n]
+                assert walk.collapsed == whole.collapsed[: len(walk.collapsed)]
+                assert walk.first_collapsed(1 << key) == key
+                stopped_early += length < len(items)
+    assert stopped_early

@@ -9,6 +9,7 @@ from opacheck import (
     check,
     check_all,
     replay_witness,
+    validate,
 )
 from opacheck.constructions import search_observer
 from opacheck.generate import fuzz_instances
@@ -201,6 +202,23 @@ class TestReplayWitness:
         run = Run("x0", (("a", "x2"),))
         harmless = Witness(("a",), ("a",), None, run)
         assert replay_witness(cso_not_scso, harmless, "SCSO") is False
+
+    @pytest.mark.parametrize(
+        "events, run",
+        [
+            ((), Run("a", (("x",),))),
+            (("x",), Run("a", (("x", "b", "c"),))),
+            ((), Run(["a"], ())),
+            ((["x"],), Run("a", ((["x"], "b"),))),
+            ((), Run("a", None)),
+        ],
+        ids=["short-step", "long-step", "list-start", "list-event", "no-steps"],
+    )
+    def test_malformed_run_is_malformed(self, events, run):
+        transitions = [("a", "x", "b"), ("b", "u", "a")]
+        aut = validate(["a", "b"], [("x", True), ("u", False)], transitions, ["a"], ["b"])
+        with pytest.raises(MalformedWitness):
+            replay_witness(aut, Witness(events, events, None, run), "SCSO")
 
     def test_unknown_property_rejected(self, cso_not_scso):
         witness = check(cso_not_scso, "SCSO", witness=True).witness

@@ -493,8 +493,8 @@ def recorded_walks(monkeypatch):
     walks = []
     search_product = verifiers.search_product
 
-    def recording(left, roots, initial, steps):
-        walks.append((left, search_product(left, roots, initial, steps)))
+    def recording(left, roots, initial, steps, stop=0):
+        walks.append((left, search_product(left, roots, initial, steps, stop)))
         return walks[-1][1]
 
     monkeypatch.setattr(verifiers, "search_product", recording)
@@ -521,6 +521,30 @@ def test_scso_and_inf_sso_share_one_walk(monkeypatch):
             assert len(walks) <= 1, label
             both_fail += not (verdicts["SCSO"].holds or verdicts["INF_SSO"].holds)
     assert both_fail
+
+
+def test_verdicts_come_in_the_order_given():
+    orders = [
+        PROPERTIES[::-1],
+        PROPERTIES[2:] + PROPERTIES[:2],
+        ("INF_SSO", "CSO"),
+        ("SISO", "SCSO", "ISO"),
+    ]
+    for aut in [*map(load_fixture, FIXTURE_NAMES), *random_instances(200)]:
+        records = {p: verdict_record(v) for p, v in check_all(aut, witness=True).items()}
+        for order in orders:
+            verdicts = check_all(aut, witness=True, properties=order)
+            assert list(verdicts) == list(order)
+            assert [verdict_record(verdicts[p]) for p in order] == [records[p] for p in order]
+
+
+def test_unknown_property_is_rejected_before_any_is_decided(cso_not_scso, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a property was decided")
+
+    monkeypatch.setattr("opacheck.verifiers.search_observer", refuse)
+    with pytest.raises(ValueError, match="NOPE"):
+        check_all(cso_not_scso, properties=("CSO", "NOPE"))
 
 
 # --- pinned decider output -----------------------------------------------------
