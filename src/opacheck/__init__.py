@@ -5,7 +5,6 @@ constructions and cross-checked by an independent subset-pair oracle.
 """
 
 from .constructions import (
-    CCState,
     build_gdss,
     build_ghat,
 )
@@ -41,13 +40,12 @@ from .verifiers import (
     check_all,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "Automaton",
     "AutomatonDocument",
     "AutomatonWarning",
-    "CCState",
     "FormatError",
     "MalformedWitness",
     "PROPERTIES",

@@ -46,11 +46,11 @@ def _write(payload: bytes, out) -> int:
 
 def _human_verdict(verdict) -> str:
     lines = [f"{verdict.property}: {'holds' if verdict.holds else 'FAILS'}"]
-    if verdict.witness is not None:
-        record = verdict_record(verdict)["witness"]
-        lines.append(f"  witness events:      {' '.join(record['events']) or '(empty)'}")
-        lines.append(f"  witness observation: {' '.join(record['observation']) or '(empty)'}")
-        lines.append(f"  offending state:     {record['offending_state']}")
+    witness = verdict.witness
+    if witness is not None:
+        lines.append(f"  witness events:      {' '.join(witness.event_sequence) or '(empty)'}")
+        lines.append(f"  witness observation: {' '.join(witness.observation) or '(empty)'}")
+        lines.append(f"  offending state:     {witness.offending_state}")
     return "\n".join(lines)
 
 

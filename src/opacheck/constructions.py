@@ -22,11 +22,12 @@ searches on plain ints, and each keeps the breadth-first tree of its
 search as ``parents``: in discovery order, each state maps to the
 (state, label) it was first reached from, each initial state to None.
 A shortest path to any state is read off that tree.  The deciders read
-sizes from the observer search and the product count, and walk a
-product only for a witness, up to its first bad state; a witness labels
-just its path.  Only ``export`` labels a whole observer or product:
-``observer_graph`` and ``product_graph`` render a search straight into
-a :class:`Graph`, in label order.
+sizes from the observer search and the product count, and walk a product
+only for a witness, up to its first bad state; a witness labels just its
+offending state.  ``subset_label`` and ``cc_label`` are the one writer
+of an estimate's and a product state's label.  Only ``export`` labels a
+whole observer or product: ``observer_graph`` and ``product_graph``
+render a search straight into a :class:`Graph`, in label order.
 
 * ``search_observer`` keeps each estimate as a bit mask over the
   source's states and numbers the estimates 1, 2, ... in discovery
@@ -69,26 +70,15 @@ from .model import Automaton, _reach
 EventPair = tuple[str, "str | None"]
 
 
-class CCState(NamedTuple):
-    """Product state: a system state and the current observer estimate.
-
-    ``right`` is None once no run of the observer's source automaton can
-    explain the observation seen so far; this is distinct from any
-    observer state, which is always a nonempty set.
-    """
-
-    left: str
-    right: "frozenset[str] | None"
-
-
-def subset_label(subset: "Iterable[str] | None") -> str:
+def subset_label(subset: Iterable[str]) -> str:
     """Render a state subset as ``{x1,x5}``; the empty estimate as ``{}``."""
-    return "{" + ",".join(sorted(subset or ())) + "}"
+    return "{" + ",".join(sorted(subset)) + "}"
 
 
-def cc_label(state: CCState) -> str:
-    """Render a product state as ``(x4,{x1,x5})``."""
-    return f"({state.left},{subset_label(state.right)})"
+def cc_label(left: str, estimate_label: str) -> str:
+    """Render the product state of the system state ``left`` and the
+    estimate labelled ``estimate_label`` as ``(x4,{x1,x5})``."""
+    return f"({left},{estimate_label})"
 
 
 def pair_label(pair: EventPair) -> str:
@@ -445,7 +435,7 @@ def product_graph(left: Automaton, observer: ObserverSearch) -> Graph:
     rank = {number: position for position, number in enumerate(order)}
     names = left.states
     n = len(names)
-    label = {key: f"({names[key % n]},{estimates[key // n]})" for key in search.parents}
+    label = {key: cc_label(names[key % n], estimates[key // n]) for key in search.parents}
     # By left state, then by estimate rank, as one int.
     keys = sorted(search.parents, key=lambda key: key % n * len(order) + rank[key // n])
     pairs = {}

@@ -129,13 +129,10 @@ def run_instance(label: str, aut: Automaton, report: CampaignReport) -> dict[str
             report.discrepancies.append(f"{label}: {prop} verifier={verdict.holds}")
         if not verdict.holds:
             try:
-                replay_ok = oracle_mod.replay_witness(aut, verdict.witness, prop)
-            except oracle_mod.MalformedWitness as exc:
-                replay_ok = False
-                report.witness_failures.append(f"{label}: {prop} malformed witness: {exc}")
-            else:
-                if not replay_ok:
+                if not oracle_mod.replay_witness(aut, verdict.witness, prop):
                     report.witness_failures.append(f"{label}: {prop} witness rejected on replay")
+            except oracle_mod.MalformedWitness as exc:
+                report.witness_failures.append(f"{label}: {prop} malformed witness: {exc}")
     for premise, conclusion in IMPLICATIONS:
         if verdicts[premise].holds and not verdicts[conclusion].holds:
             report.implication_violations.append(f"{label}: {premise} without {conclusion}")

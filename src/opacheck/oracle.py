@@ -1,9 +1,10 @@
 """Independent deciders for the five opacity properties.
 
 These work straight from the definitions and share no code with the
-observer/product constructions.  One table, ``_SHAPES``, gives each
-property as a pair of subset estimates indexed by the observation seen
-so far, and when a pair violates it:
+observer/product constructions but the two functions that write labels.
+One table, ``_SHAPES``, gives each property as a pair of subset
+estimates indexed by the observation seen so far, and when a pair
+violates it:
 
 * ``reach`` tracks every state reachable by some run of the system with
   the current observation, started from the initial states the property
@@ -33,6 +34,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, NamedTuple
 
+from .constructions import cc_label, subset_label
 from .model import Automaton
 
 from .verifiers import CSO, INF_SSO, ISO, SCSO, SISO, Witness
@@ -208,7 +210,8 @@ def replay_witness(g: Automaton, witness: Witness, prop: str) -> bool:
     """Re-check a verifier witness against the definitions.
 
     Raises :class:`MalformedWitness` when the witness is structurally
-    broken (run does not replay, fields disagree); returns False when the
+    broken (run does not replay, fields disagree, or the offending state
+    is not labelled as the state the run reaches); returns False when the
     run replays but does not actually violate the property; True when it
     is a genuine violation.
     """
@@ -239,8 +242,11 @@ def replay_witness(g: Automaton, witness: Witness, prop: str) -> bool:
             raise MalformedWitness("run does not replay through the transition relation")
         here = state
 
-    # The run counts toward reach only when it starts where reach does.
     shape = _SHAPES[prop]
+    reach, explanation = _fold(g, adj, shape, witness.observation)
+    label = subset_label(reach) if prop == CSO else cc_label(run.end, subset_label(()))
+    if witness.offending_state != label:
+        raise MalformedWitness(f"offending state {witness.offending_state!r} is not {label!r}")
+    # The run counts toward reach only when it starts where reach does.
     ends = frozenset({run.end}) if run.start in getattr(g, shape.reach_from) else frozenset()
-    _, explanation = _fold(g, adj, shape, witness.observation)
     return shape.violates(g.secret_states, ends, explanation)

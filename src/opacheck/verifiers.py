@@ -24,11 +24,12 @@ witness is asked for and a bad state exists, and the walk stops at the
 first bad state in discovery order, whose tree path is a shortest
 witness.  SCSO and INF_SSO share one walk of the same product: every
 SCSO-bad state is INF_SSO-bad and SCSO is decided first, so its walk
-holds INF_SSO's first bad state.  A CSO witness's run is
-read off the walk of g with the automaton of its observation.  Labels
-are made only for a witness's path.  The five structures ``export``
-writes are attributes of :class:`Structures`, built on request and never
-read by the decider: the automata ``gdss`` and ``ghat``, and ``observer``,
+holds INF_SSO's first bad state.  A CSO witness's run is read off the
+walk of g with the automaton of its observation.  A witness labels only
+its offending state: ``(x5,{})``, x5 the run's end, or for CSO the
+estimate, ``{x2}``.  The five structures ``export`` writes are
+attributes of :class:`Structures`, built on request and never read by
+the decider: the automata ``gdss`` and ``ghat``, and ``observer``,
 ``cc`` and ``cc_hat``, :class:`~opacheck.constructions.Graph`s rendered
 straight from the core observer's search.
 """
@@ -41,7 +42,6 @@ from operator import or_
 from typing import Any, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .constructions import (
-    CCState,
     Graph,
     ObserverSearch,
     ProductCount,
@@ -71,11 +71,11 @@ PROPERTIES = (CSO, ISO, SCSO, SISO, INF_SSO)
 @dataclass(frozen=True)
 class Witness:
     """A concrete violation: an event sequence, its observation, the
-    offending product state or estimate, and a replayable run."""
+    offending state's label and a replayable run."""
 
     event_sequence: tuple[str, ...]
     observation: tuple[str, ...]
-    offending_state: Any
+    offending_state: str
     run: Run
 
 
@@ -88,20 +88,13 @@ class Verdict:
 
 
 def witness_record(witness: "Witness | None") -> "dict | None":
-    """JSON-ready form of a witness; labels stand in for structured states."""
+    """JSON-ready form of a witness."""
     if witness is None:
         return None
-    offending = witness.offending_state
-    if isinstance(offending, CCState):
-        label = cc_label(offending)
-    elif isinstance(offending, frozenset):
-        label = subset_label(offending)
-    else:
-        label = str(offending)
     return {
         "events": list(witness.event_sequence),
         "observation": list(witness.observation),
-        "offending_state": label,
+        "offending_state": witness.offending_state,
         "run": {"start": witness.run.start, "steps": [list(s) for s in witness.run.steps]},
     }
 
@@ -294,12 +287,12 @@ def _product_witness(search: ProductSearch, key: int) -> Witness:
     """The path to the product state ``key`` in the breadth-first tree of
     its walk: a shortest product path, ties broken by event-pair order.
     Only the offending state is labelled (bad product states are
-    collapsed, so its estimate is None)."""
+    collapsed, so its estimate is the empty one)."""
     start, steps = _tree_path(search.parents, key)
     events = tuple(pair[0] for pair, _ in steps)
     observation = tuple(pair[1] for pair, _ in steps if pair[1] is not None)
     run = Run(search.left_of(start), tuple((pair[0], search.left_of(dst)) for pair, dst in steps))
-    return Witness(events, observation, CCState(search.left_of(key), None), run)
+    return Witness(events, observation, cc_label(run.end, subset_label(())), run)
 
 
 def _observation_witness(search: ObserverSearch, number: int) -> Witness:
@@ -309,7 +302,7 @@ def _observation_witness(search: ObserverSearch, number: int) -> Witness:
     _, steps = _tree_path(search.parents, number)
     observation = tuple(event for event, _ in steps)
     run = _realize_observation(search.source, observation)
-    return Witness(run.events, observation, search.subset(number), run)
+    return Witness(run.events, observation, subset_label(search.subset(number)), run)
 
 
 def _realize_observation(g: Automaton, observation: tuple[str, ...]) -> Run:

@@ -2,11 +2,12 @@ import pathlib
 import re
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import pytest
 
 from opacheck import Run, load, validate
-from opacheck.constructions import CCState, Graph, cc_label, pair_label, subset_label
+from opacheck.constructions import Graph, cc_label, pair_label, search_observer, subset_label
 from opacheck.generate import fuzz_automaton, random_automaton
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -193,6 +194,36 @@ def enumerate_runs(aut, max_len):
 # as the Graphs that export writes, and in their breadth-first trees.
 
 
+class CCState(NamedTuple):
+    """Product state: a system state and the current observer estimate.
+
+    ``right`` is None once no run of the observer's source automaton can
+    explain the observation seen so far; this is distinct from any
+    observer state, which is always a nonempty set.
+    """
+
+    left: str
+    right: "frozenset[str] | None"
+
+
+def state_label(state):
+    """A CCState labelled as export and witnesses label it: ``(x4,{x1,x5})``."""
+    return cc_label(state.left, subset_label(state.right or ()))
+
+
+def offending_label(aut, run, prop):
+    """The offending-state label of a witness with ``run`` for ``prop``:
+    for CSO the estimate its observation reaches, stepped on the
+    estimate observer, otherwise the collapsed product state at its end."""
+    if prop != "CSO":
+        return state_label(CCState(run.end, None))
+    estimates = search_observer(aut)
+    number = estimates.initial
+    for event in project(aut, run.events):
+        number = estimates.steps[event][number]
+    return subset_label(estimates.subset(number))
+
+
 @dataclass(frozen=True)
 class ReferenceObserver:
     """An observer over named subsets; ``transitions`` maps (subset,
@@ -299,7 +330,7 @@ def reference_graph(structure):
             [(e, True) for e in structure.alphabet],
             sorted((label[q], e, label[t]) for (q, e), t in structure.transitions.items()),
         )
-    label = {s: cc_label(s) for s in structure.states}
+    label = {s: state_label(s) for s in structure.states}
     pair = {p: pair_label(p) for p in structure.event_pairs}
     return Graph(
         "product",

@@ -16,11 +16,10 @@ from opacheck import (
     check_all,
     export_dot,
 )
-from opacheck.constructions import CCState
 from opacheck.generate import IMPLICATIONS, fuzz_instances, random_automaton, run_campaign
 from opacheck.verifiers import PROPERTIES, Structures
 
-from conftest import cc_state, enumerate_runs, load_fixture, product_arcs, project, successors
+from conftest import CCState, cc_state, enumerate_runs, load_fixture, product_arcs, project, successors
 from test_constructions import core_search, observer_words, states_with_observation
 
 CAMPAIGN_SEED = 20260810
@@ -59,7 +58,7 @@ def test_criterion_1():
     elapsed = time.perf_counter() - started
     assert cso.holds is True
     assert scso.holds is False
-    assert scso.witness.offending_state == CCState("x5", None)
+    assert scso.witness.offending_state == "(x5,{})"
     assert scso.witness.observation == ("a", "a")
     assert elapsed < 1.0
 

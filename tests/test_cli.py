@@ -9,10 +9,11 @@ import sys
 import pytest
 
 import opacheck
-from opacheck import Run, Witness, load, replay_witness
+from opacheck import Run, Witness, check_all, load, replay_witness
 from opacheck.cli import main
+from opacheck.verifiers import witness_record
 
-from conftest import FIXTURE_NAMES, assert_valid_dot, fixture_path
+from conftest import FIXTURE_NAMES, assert_valid_dot, fixture_path, load_fixture, random_instances
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -39,15 +40,33 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def witness_from_record(payload):
+    """A witness rebuilt from its JSON record, as a consumer of
+    ``--output machine`` rebuilds it."""
+    return Witness(
+        event_sequence=tuple(payload["events"]),
+        observation=tuple(payload["observation"]),
+        offending_state=payload["offending_state"],
+        run=Run(
+            payload["run"]["start"],
+            tuple((e, s) for e, s in payload["run"]["steps"]),
+        ),
+    )
+
+
 def test_public_api():
-    """Every public name resolves, the version is the package's, and the
-    labelled observer and product types of 0.1 are gone, as are the run
-    helpers nothing in the library used."""
+    """Every public name resolves, the version is 0.3.0, both in the
+    package and in pyproject.toml, and the labelled observer and product
+    types of 0.1 are gone, as are the run helpers nothing in the library
+    used and 0.2's product-state type."""
     for name in opacheck.__all__:
         assert getattr(opacheck, name) is not None, name
     assert len(set(opacheck.__all__)) == len(opacheck.__all__)
     for name in ("ObserverAutomaton", "CCAutomaton", "build_observer", "build_cc"):
         assert name not in opacheck.__all__ and not hasattr(opacheck, name), name
+    assert "CCState" not in opacheck.__all__
+    for module in (opacheck, opacheck.constructions, opacheck.verifiers):
+        assert not hasattr(module, "CCState"), module.__name__
     for name in ("delta_extended", "enumerate_runs", "project", "unobservable_reach"):
         assert name not in opacheck.__all__ and not hasattr(opacheck, name), name
         assert not hasattr(opacheck.model, name), name
@@ -59,6 +78,24 @@ def test_public_api():
             assert not hasattr(cls, name), (cls.__name__, name)
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == opacheck.__version__
+    assert opacheck.__version__ == "0.3.0"
+
+
+def test_witnesses_round_trip_through_their_records():
+    """A witness is labelled as its JSON record is, so the Witness a
+    consumer rebuilds from ``--output machine`` equals the decider's."""
+    instances = [load_fixture(name) for name in FIXTURE_NAMES] + random_instances(200)
+    failing = 0
+    for aut in instances:
+        for prop, verdict in check_all(aut, witness=True).items():
+            if verdict.holds:
+                continue
+            failing += 1
+            witness = verdict.witness
+            assert isinstance(witness.offending_state, str), prop
+            record = json.loads(json.dumps(witness_record(witness)))
+            assert witness_from_record(record) == witness, prop
+    assert failing
 
 
 class TestCheck:
@@ -75,6 +112,11 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", str(fixture_path("no_secrets")))
         assert code == 0
         assert out.count("holds") == 5
+
+    def test_human_witness_output_matches_golden_file(self, capsys):
+        code, out, _ = run_cli(capsys, "check", str(fixture_path("cso_but_not_scso")), "--witness")
+        assert code == 1
+        assert out == (GOLDEN / "check_cso_but_not_scso.txt").read_text()
 
     def test_machine_output_matches_golden_file(self, capsys):
         code, out, _ = run_cli(
@@ -102,16 +144,7 @@ class TestCheck:
         assert code == 1
         record = json.loads(out.splitlines()[0])
         assert record["property"] == "SISO" and not record["holds"]
-        payload = record["witness"]
-        witness = Witness(
-            event_sequence=tuple(payload["events"]),
-            observation=tuple(payload["observation"]),
-            offending_state=payload["offending_state"],
-            run=Run(
-                payload["run"]["start"],
-                tuple((e, s) for e, s in payload["run"]["steps"]),
-            ),
-        )
+        witness = witness_from_record(record["witness"])
         aut = load(fixture_path("siso_negative")).to_automaton()
         assert replay_witness(aut, witness, "SISO")
 

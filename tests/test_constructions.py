@@ -10,10 +10,8 @@ from opacheck import (
     validate,
 )
 from opacheck.constructions import (
-    CCState,
     Graph,
     count_product,
-    cc_label,
     observer_graph,
     pair_label,
     product_graph,
@@ -24,6 +22,7 @@ from opacheck.model import AllStatesSecretWarning
 from opacheck.verifiers import _SPECS, Structures, check_all
 
 from conftest import (
+    CCState,
     cc_state,
     chain,
     chain_instances,
@@ -41,6 +40,7 @@ from conftest import (
     reference_cc,
     reference_graph,
     reference_observer,
+    state_label,
     subset_tree,
     successors,
 )
@@ -429,7 +429,7 @@ class TestBreadthFirstTree:
                     product_tree(walk, obs),
                     [cc_state(label) for label, _ in cc.states],
                     [cc_state(label) for label in cc.initial],
-                    lambda src, pair, dst: (cc_label(src), pair_label(pair), cc_label(dst)) in arcs,
+                    lambda src, pair, dst: (state_label(src), pair_label(pair), state_label(dst)) in arcs,
                 )
 
 

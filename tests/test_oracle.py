@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -32,6 +33,7 @@ from conftest import (
     enumerate_runs,
     is_non_secret,
     load_fixture,
+    offending_label,
     project,
 )
 
@@ -118,8 +120,9 @@ def test_runs_of_opaque_systems_do_not_replay_as_violations():
     for label, aut in fuzz_instances(60, 4, seed=6061):
         holding = [prop for prop in PROPERTIES if ORACLES[prop](aut)]
         for run in enumerate_runs(aut, 5):
-            witness = Witness(run.events, project(aut, run.events), None, run)
             for prop in holding:
+                state = offending_label(aut, run, prop)
+                witness = Witness(run.events, project(aut, run.events), state, run)
                 assert replay_witness(aut, witness, prop) is False, f"{label} {prop} {run}"
 
 
@@ -200,8 +203,39 @@ class TestReplayWitness:
     def test_semantic_rejection_is_not_malformed(self, cso_not_scso):
         # A perfectly valid run that simply does not violate the property.
         run = Run("x0", (("a", "x2"),))
-        harmless = Witness(("a",), ("a",), None, run)
+        harmless = Witness(("a",), ("a",), "(x2,{})", run)
         assert replay_witness(cso_not_scso, harmless, "SCSO") is False
+
+    @pytest.mark.parametrize(
+        "fixture, prop, label",
+        [
+            ("cso_but_not_scso", "SCSO", "(x2,{})"),
+            ("cso_but_not_scso", "SCSO", "(x5,{x5})"),
+            ("cso_but_not_scso", "SCSO", ("x5", None)),
+            ("cso_but_not_scso", "INF_SSO", None),
+            ("siso_but_not_scso", "CSO", "{x1,x2}"),
+            ("siso_but_not_scso", "CSO", "(x2,{})"),
+            ("siso_but_not_scso", "CSO", frozenset({"x2"})),
+            ("siso_negative", "SISO", "(x5,{}) "),
+        ],
+        ids=[
+            "other-state",
+            "not-collapsed",
+            "tuple",
+            "none",
+            "other-estimate",
+            "product-label-for-cso",
+            "frozenset",
+            "trailing-space",
+        ],
+    )
+    def test_rejects_tampered_offending_state(self, fixture, prop, label):
+        # Everything but the label is the genuine witness's, and still replays.
+        aut = load_fixture(fixture)
+        witness = check(aut, prop, witness=True).witness
+        assert replay_witness(aut, witness, prop) is True
+        with pytest.raises(MalformedWitness, match="offending state"):
+            replay_witness(aut, replace(witness, offending_state=label), prop)
 
     @pytest.mark.parametrize(
         "events, run",

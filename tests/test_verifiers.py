@@ -17,13 +17,14 @@ from opacheck import (
     validate,
     Witness,
 )
-from opacheck.constructions import CCState, Graph, search_observer
+from opacheck.constructions import Graph, search_observer, subset_label
 from opacheck.generate import IMPLICATIONS, fuzz_instances
 from opacheck.model import AllStatesSecretWarning
 from opacheck.oracle import _SHAPES, _adjacency, _fold
 from opacheck.verifiers import PROPERTIES, Structures, Verdict, _realize_observation, verdict_record
 
 from conftest import (
+    CCState,
     EXPECTED_VERDICTS,
     FIXTURE_NAMES,
     ReferenceProduct,
@@ -34,11 +35,13 @@ from conftest import (
     is_valid,
     larger_instances,
     load_fixture,
+    offending_label,
     outgoing,
     project,
     random_instances,
     reference_cc,
     reference_observer,
+    state_label,
 )
 
 
@@ -72,7 +75,7 @@ def test_scso_witness_details(cso_not_scso):
     assert not verdict.holds
     witness = verdict.witness
     assert witness.observation == ("a", "a")
-    assert witness.offending_state == CCState("x5", None)
+    assert witness.offending_state == "(x5,{})"
     assert witness.run.start == "x0"
     assert witness.run.end == "x5"
     assert replay_witness(cso_not_scso, witness, "SCSO")
@@ -83,7 +86,7 @@ def test_siso_witness_details(siso_neg):
     assert not verdict.holds
     witness = verdict.witness
     assert witness.event_sequence == ("a", "a")
-    assert witness.offending_state == CCState("x5", None)
+    assert witness.offending_state == "(x5,{})"
     assert witness.run.start == "x1"
     assert replay_witness(siso_neg, witness, "SISO")
     # Minimality in path length: every run from the secret start with
@@ -103,7 +106,8 @@ def test_product_witnesses_are_shortest():
             if prop == "CSO" or verdict.holds or not verdict.witness.event_sequence:
                 continue
             for run in enumerate_runs(aut, len(verdict.witness.event_sequence) - 1):
-                shorter = Witness(run.events, project(aut, run.events), None, run)
+                state = offending_label(aut, run, prop)
+                shorter = Witness(run.events, project(aut, run.events), state, run)
                 assert not replay_witness(aut, shorter, prop), (label, prop, run)
 
 
@@ -140,7 +144,7 @@ def test_cso_witness_realizes_observation(siso_not_scso):
     assert not verdict.holds
     witness = verdict.witness
     assert witness.observation == ("a",)
-    assert witness.offending_state == frozenset({"x2"})
+    assert witness.offending_state == "{x2}"
     assert is_valid(witness.run, siso_not_scso)
     assert witness.run.end in siso_not_scso.secret_states
     assert replay_witness(siso_not_scso, witness, "CSO")
@@ -266,7 +270,7 @@ def reference_product_witness(cc, offending):
     events = tuple(pair[0] for pair, _ in steps)
     observation = tuple(pair[1] for pair, _ in steps if pair[1] is not None)
     run = Run(start.left, tuple((pair[0], dst.left) for pair, dst in steps))
-    return Witness(events, observation, offending, run)
+    return Witness(events, observation, state_label(offending), run)
 
 
 def reference_realize(g, observation):
@@ -302,7 +306,7 @@ def reference_estimate_witness(g, estimates, offending):
     _, steps = tree_path(estimates.parents, offending)
     observation = tuple(event for event, _ in steps)
     run = reference_realize(g, observation)
-    return Witness(run.events, observation, offending, run)
+    return Witness(run.events, observation, subset_label(offending), run)
 
 
 def reference_check_all(g):
