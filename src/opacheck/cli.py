@@ -13,9 +13,10 @@ import sys
 import warnings
 
 from . import generate
+from .constructions import STRUCTURES, build_structure
 from .fileformat import document_of, export_dot, load, serialize
 from .model import AutomatonWarning, ValidationError
-from .verifiers import PROPERTIES, Structures, check_all, verdict_record
+from .verifiers import PROPERTIES, check_all, verdict_record
 
 _PROPERTY_TOKENS = {p.lower().replace("_", "-"): p for p in PROPERTIES}
 _TOKEN_ORDER = tuple(_PROPERTY_TOKENS)
@@ -83,7 +84,7 @@ def cmd_check(args) -> int:
 def cmd_export(args) -> int:
     try:
         aut = _load_automaton(args.file)
-        structure = getattr(Structures(aut), args.structure.replace("-", "_"))
+        structure = build_structure(aut, args.structure)
         if not structure.states:
             print(f"warning: {args.structure} is empty for this input", file=sys.stderr)
         if args.format == "dot":
@@ -151,9 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     export = sub.add_parser("export", help="export a constructed structure")
     export.add_argument("file")
-    export.add_argument(
-        "--structure", required=True, choices=("gdss", "ghat", "observer", "cc", "cc-hat")
-    )
+    export.add_argument("--structure", required=True, choices=STRUCTURES)
     export.add_argument("--format", choices=("dot", "native"), default="dot")
     export.add_argument("--out", default=None)
     export.set_defaults(fn=cmd_export)
@@ -177,8 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parsing keeps no state in the parser, and building it costs
+# about as much as deciding a small file.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     return args.fn(args)
 
 

@@ -27,7 +27,8 @@ only for a witness, up to its first bad state; a witness labels just its
 offending state.  ``subset_label`` and ``cc_label`` are the one writer
 of an estimate's and a product state's label.  Only ``export`` labels a
 whole observer or product: ``observer_graph`` and ``product_graph``
-render a search straight into a :class:`Graph`, in label order.
+render a search straight into a :class:`Graph`, in label order, and
+``build_structure`` gives each structure ``export`` names.
 
 * ``search_observer`` keeps each estimate as a bit mask over the
   source's states and numbers the estimates 1, 2, ... in discovery
@@ -459,3 +460,28 @@ def product_graph(left: Automaton, observer: ObserverSearch) -> Graph:
         [(text, pair[1] is not None) for pair, text in pairs.items()],
         transitions,
     )
+
+
+# The structures ``export --structure`` writes, by the names it takes.
+STRUCTURES = ("gdss", "ghat", "observer", "cc", "cc-hat")
+
+
+def build_structure(g: Automaton, name: str) -> "Automaton | Graph":
+    """The structure of ``g`` named ``name``, one of ``STRUCTURES``: the
+    automata ``G_dss`` and ``Ĝ``, or a :class:`Graph` of the non-secret
+    core's observer or of the product of g (``cc``) or of ``Ĝ``
+    (``cc-hat``) with it.  Raises ValueError for any other name before
+    anything is searched."""
+    if name not in STRUCTURES:
+        raise ValueError(f"unknown structure: {name!r}")
+    if name == "gdss":
+        return build_gdss(g)
+    if name == "ghat":
+        return build_ghat(g)
+    search = search_observer(g, g.non_secret_initials, core=True)
+    if name == "observer":
+        # G_dss's observable events are exactly those the core steps on.
+        used = [(event, True) for event in search.alphabet if any(search.steps[event])]
+        return observer_graph(search)._replace(events=used)
+    # cc-hat is walked on ghat, whose events and secret states label the product.
+    return product_graph(g if name == "cc" else build_ghat(g), search)

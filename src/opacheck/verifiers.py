@@ -27,32 +27,23 @@ SCSO-bad state is INF_SSO-bad and SCSO is decided first, so its walk
 holds INF_SSO's first bad state.  A CSO witness's run is read off the
 walk of g with the automaton of its observation.  A witness labels only
 its offending state: ``(x5,{})``, x5 the run's end, or for CSO the
-estimate, ``{x2}``.  The five structures ``export`` writes are
-attributes of :class:`Structures`, built on request and never read by
-the decider: the automata ``gdss`` and ``ghat``, and ``observer``,
-``cc`` and ``cc_hat``, :class:`~opacheck.constructions.Graph`s rendered
-straight from the core observer's search.
+estimate, ``{x2}``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import or_
 from typing import Any, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .constructions import (
-    Graph,
     ObserverSearch,
     ProductCount,
     ProductSearch,
     _bits,
-    build_gdss,
-    build_ghat,
     cc_label,
     count_product,
-    observer_graph,
-    product_graph,
     search_observer,
     search_product,
     subset_label,
@@ -137,10 +128,7 @@ class Structures:
     for a witness.  All run on g's tables: the core's observer on its
     core tables, and ``Ĝ``'s products on g's started at the secret
     initial states, since ``Ĝ`` keeps every arc out of the states it
-    reaches.  The attributes ``gdss``, ``ghat``, ``observer``, ``cc`` and
-    ``cc_hat`` are the structures ``export --structure`` names, built on
-    first access and never read by the decider; the last three are
-    :class:`~opacheck.constructions.Graph`s of the core observer search.
+    reaches.
     """
 
     def __init__(self, g: Automaton):
@@ -149,14 +137,6 @@ class Structures:
         # Keyed by a row's product, spec[:3]: SCSO and INF_SSO share theirs.
         self._counts: dict[tuple, ProductCount] = {}
         self._walks: dict[tuple, ProductSearch] = {}
-
-    @cached_property
-    def gdss(self) -> Automaton:
-        return build_gdss(self.g)
-
-    @cached_property
-    def ghat(self) -> Automaton:
-        return build_ghat(self.g)
 
     def observer_search(self, core: bool, start: Iterable[str]) -> ObserverSearch:
         """The observer of the non-secret core (``core``) or of g, started
@@ -189,25 +169,6 @@ class Structures:
         g = self.g
         obs = self.observer_search(spec.core, getattr(g, spec.observed_from))
         return g, getattr(g, spec.start), obs.initial, obs.steps
-
-    def _core_observer(self) -> ObserverSearch:
-        return self.observer_search(True, self.g.non_secret_initials)
-
-    @cached_property
-    def observer(self) -> Graph:
-        # G_dss's observable events are exactly those the core steps on.
-        search = self._core_observer()
-        used = [(event, True) for event in search.alphabet if any(search.steps[event])]
-        return observer_graph(search)._replace(events=used)
-
-    @cached_property
-    def cc(self) -> Graph:
-        return product_graph(self.g, self._core_observer())
-
-    @cached_property
-    def cc_hat(self) -> Graph:
-        # Walked on ghat, whose events and secret states label the product.
-        return product_graph(self.ghat, self._core_observer())
 
 
 def _decide(structures: Structures, prop: str, witness: bool) -> Verdict:
@@ -254,9 +215,12 @@ def check_all(
 ) -> dict[str, Verdict]:
     """Decide ``properties`` (all five by default), sharing the
     constructed structures between them; the verdicts come in the order
-    given.  Raises ValueError for an unknown property before deciding
-    any.  They are decided in ``PROPERTIES`` order, so SCSO's walk, which
-    holds INF_SSO's first bad state, serves both."""
+    given.  Raises ValueError for an unknown property, or for
+    ``properties`` given as one string, before deciding any.  They are
+    decided in ``PROPERTIES`` order, so SCSO's walk, which holds
+    INF_SSO's first bad state, serves both."""
+    if isinstance(properties, str):  # it would split into one-letter names
+        raise ValueError(f"bad properties {properties!r}: must be a collection of names, not a string")
     properties = list(properties)
     for prop in properties:
         if prop not in _SPECS:

@@ -17,7 +17,8 @@ from opacheck import (
     export_dot,
 )
 from opacheck.generate import IMPLICATIONS, fuzz_instances, random_automaton, run_campaign
-from opacheck.verifiers import PROPERTIES, Structures
+from opacheck.constructions import build_structure
+from opacheck.verifiers import PROPERTIES
 
 from conftest import CCState, cc_state, enumerate_runs, load_fixture, product_arcs, project, successors
 from test_constructions import core_search, observer_words, states_with_observation
@@ -82,7 +83,7 @@ def test_criterion_3():
     aut = load_fixture("scso_positive")
     started = time.perf_counter()
     scso = check(aut, "SCSO")
-    cc = Structures(aut).cc
+    cc = build_structure(aut, "cc")
     dot = export_dot(cc)
     elapsed = time.perf_counter() - started
     assert scso.holds is True
@@ -108,7 +109,7 @@ def test_criterion_5():
     aut = load_fixture("siso_negative")
     started = time.perf_counter()
     siso = check(aut, "SISO")
-    cc = Structures(aut).cc_hat
+    cc = build_structure(aut, "cc-hat")
     elapsed = time.perf_counter() - started
     assert siso.holds is False
     leaking = {s for s in map(cc_state, (label for label, _ in cc.states)) if s.right is None}
@@ -153,7 +154,7 @@ def test_criterion_9():
     for label, aut in fuzz_instances(100, 6, seed=CAMPAIGN_SEED + 1):
         gdss = build_gdss(aut)
         observer = core_search(aut)
-        cc = Structures(aut).cc
+        cc = build_structure(aut, "cc")
         arcs = product_arcs(cc)
 
         # Observer language equals the projected language of the core:

@@ -55,10 +55,11 @@ def witness_from_record(payload):
 
 
 def test_public_api():
-    """Every public name resolves, the version is 0.3.0, both in the
+    """Every public name resolves, the version is 0.4.0, both in the
     package and in pyproject.toml, and the labelled observer and product
     types of 0.1 are gone, as are the run helpers nothing in the library
-    used and 0.2's product-state type."""
+    used, 0.2's product-state type and 0.3's export attributes of the
+    decider's structures."""
     for name in opacheck.__all__:
         assert getattr(opacheck, name) is not None, name
     assert len(set(opacheck.__all__)) == len(opacheck.__all__)
@@ -78,7 +79,38 @@ def test_public_api():
             assert not hasattr(cls, name), (cls.__name__, name)
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == opacheck.__version__
-    assert opacheck.__version__ == "0.3.0"
+    assert opacheck.__version__ == "0.4.0"
+    for name in ("gdss", "ghat", "observer", "cc", "cc_hat", "_core_observer"):
+        assert not hasattr(opacheck.verifiers.Structures, name), name
+    for name in ("Graph", "build_gdss", "build_ghat", "observer_graph", "product_graph"):
+        assert not hasattr(opacheck.verifiers, name), name
+
+
+def test_calls_in_one_process_keep_no_state(capsys):
+    """main parses with one parser built at import; each call returns its
+    own exit code and output, whatever the calls before it were."""
+    leaky = str(fixture_path("cso_but_not_scso"))
+    human = (GOLDEN / "check_cso_but_not_scso.txt").read_text()
+    golden = {
+        tuple(line.split()[:3]): line.split()[3:]
+        for line in (GOLDEN / "exports.sha256").read_text().splitlines()
+    }
+    for _ in range(2):
+        assert run_cli(capsys, "check", leaky, "--witness") == (1, human, "")
+        with pytest.raises(SystemExit) as rejected:
+            main(["export", leaky, "--structure", "cc_hat"])
+        assert rejected.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid choice: 'cc_hat'" in captured.err
+        code, out, err = run_cli(
+            capsys, "export", str(fixture_path("siso_negative")), "--structure", "cc-hat", "--format=native"
+        )
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert ([str(code), digest], err) == (golden["siso_negative", "cc-hat", "native"], "")
+        # No --witness this time: the earlier call's flag is not kept.
+        code, out, _ = run_cli(capsys, "check", leaky)
+        verdicts = [line for line in human.splitlines(True) if not line.startswith(" ")]
+        assert (code, out) == (1, "".join(verdicts))
 
 
 def test_witnesses_round_trip_through_their_records():

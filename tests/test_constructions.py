@@ -11,6 +11,7 @@ from opacheck import (
 )
 from opacheck.constructions import (
     Graph,
+    build_structure,
     count_product,
     observer_graph,
     pair_label,
@@ -184,7 +185,7 @@ class TestBuildGhat:
 class TestBuildObserver:
     # The observer is the core's search; export labels it as a Graph.
     def test_known_observer(self, scso_pos):
-        obs = Structures(scso_pos).observer
+        obs = build_structure(scso_pos, "observer")
         assert obs.initial == ["{x0,x3}"]
         assert obs.states == [("{x0,x3}", False), ("{x1,x5}", False), ("{x5}", False)]
         assert graph_step(obs, "{x0,x3}", "a") == "{x1,x5}"
@@ -216,7 +217,7 @@ class TestBuildObserver:
         search = core_search(aut)
         assert search.initial == 0
         assert search.size == (0, 0)
-        assert Structures(aut).observer == Graph("observer", [], [], [], [])
+        assert build_structure(aut, "observer") == Graph("observer", [], [], [], [])
 
     def test_subsets_nonempty_and_accessible(self):
         for aut in random_instances(40):
@@ -253,11 +254,11 @@ class TestBuildCc:
     # The product is one walk of the core's search; export labels it as
     # a Graph, whose labels parse back into CCStates here.
     def test_known_product_states(self, scso_pos, cso_not_scso):
-        cc = [cc_state(label) for label, _ in Structures(scso_pos).cc.states]
+        cc = [cc_state(label) for label, _ in build_structure(scso_pos, "cc").states]
         assert CCState("x4", frozenset({"x1", "x5"})) in cc
         assert not [s for s in cc if s.right is None]
 
-        cc1 = Structures(cso_not_scso).cc
+        cc1 = build_structure(cso_not_scso, "cc")
         leaking = [label for label, secret in cc1.states if secret and cc_state(label).right is None]
         assert leaking == ["(x5,{})"]
         assert CCState("x6", None) in [cc_state(label) for label, _ in cc1.states]
@@ -276,7 +277,7 @@ class TestBuildCc:
 
     def test_empty_right_is_absorbing_and_silent_moves_keep_right(self):
         for aut in random_instances(40):
-            for src, (event, right_part), dst in product_arcs(Structures(aut).cc):
+            for src, (event, right_part), dst in product_arcs(build_structure(aut, "cc")):
                 if src.right is None:
                     assert dst.right is None
                 if right_part is None:
@@ -289,7 +290,7 @@ class TestBuildCc:
         # Both components of every bounded product path carry the same
         # observation: the silent-erased left word equals the right word.
         for aut in random_instances(25, max_states=5):
-            cc = Structures(aut).cc
+            cc = build_structure(aut, "cc")
             leaving = {}
             for src, pair, dst in cc.transitions:
                 leaving.setdefault(src, []).append((event_pair(pair), dst))
@@ -312,7 +313,7 @@ class TestBuildCc:
         # the deterministic observer trajectory of its observation.
         for aut in random_instances(25, max_states=5):
             search = core_search(aut)
-            cc = Structures(aut).cc
+            cc = build_structure(aut, "cc")
             states = {cc_state(label) for label, _ in cc.states}
             arcs = set(product_arcs(cc))
             for run in enumerate_runs(aut, 4):
@@ -346,7 +347,7 @@ class TestBuildCc:
                 assert states_with_observation(gdss, word)
 
     def test_initial_states_pair_with_observer_initial(self, iso_not_siso):
-        assert Structures(iso_not_siso).cc.initial == ["(x1,{x1})", "(x2,{x1})"]
+        assert build_structure(iso_not_siso, "cc").initial == ["(x1,{x1})", "(x2,{x1})"]
 
     def test_no_nonsecret_initials_starts_with_empty_estimate(self):
         # With every initial state secret there is no explanation for any
@@ -360,7 +361,7 @@ class TestBuildCc:
                 secret_states=["p", "q"],
             )
         assert core_search(aut).initial == 0
-        cc = Structures(aut).cc
+        cc = build_structure(aut, "cc")
         assert cc.initial == ["(p,{})"]
         assert cc.states == [("(p,{})", True), ("(q,{})", True)]
 
@@ -371,8 +372,7 @@ class TestBuildCc:
             return (state.left, ("",) if state.right is None else tuple(sorted(state.right)))
 
         for aut in random_instances(40):
-            structures = Structures(aut)
-            for cc in (structures.cc, structures.cc_hat):
+            for cc in (build_structure(aut, "cc"), build_structure(aut, "cc-hat")):
                 states = [cc_state(label) for label, _ in cc.states]
                 assert states == sorted(states, key=key)
                 arcs = product_arcs(cc)
@@ -420,9 +420,9 @@ class TestBreadthFirstTree:
 
     def test_product_tree(self):
         for aut in random_instances(40):
-            structures = Structures(aut)
             obs = core_search(aut)
-            for left, cc in ((aut, structures.cc), (structures.ghat, structures.cc_hat)):
+            ghat = build_ghat(aut)
+            for left, cc in ((aut, build_structure(aut, "cc")), (ghat, build_structure(aut, "cc-hat"))):
                 walk = search_product(left, left.initial_states, obs.initial, obs.steps)
                 arcs = set(cc.transitions)
                 self.check_tree(
@@ -444,7 +444,7 @@ def assert_matches_reference(aut):
     """Every observer and product the verifiers search from ``aut``, and
     the three structures export renders."""
     structures = Structures(aut)
-    gdss, ghat = structures.gdss, structures.ghat
+    gdss, ghat = build_gdss(aut), build_ghat(aut)
     restarted = replace(aut, initial_states=aut.non_secret_initials)
     core = structures.observer_search(True, aut.non_secret_initials)
     estimates = structures.observer_search(False, aut.initial_states)
@@ -454,7 +454,7 @@ def assert_matches_reference(aut):
     for source, search in [*searched, (aut, estimates), (restarted, iso_observer), (gdss, core)]:
         assert list(subset_tree(search).items()) == list(expected[source].parents.items())
         # The core is searched on g's alphabet; the exported observer keeps G_dss's.
-        graph = structures.observer if search is core else observer_graph(search)
+        graph = build_structure(aut, "observer") if search is core else observer_graph(search)
         assert graph == reference_graph(expected[source])
     for left, search, source in (
         (aut, core, gdss),
@@ -466,8 +466,8 @@ def assert_matches_reference(aut):
         assert product_graph(left, search) == reference_graph(product)
         walk = search_product(left, left.initial_states, search.initial, search.steps)
         assert list(product_tree(walk, search).items()) == list(product.parents.items())
-    assert structures.cc == reference_graph(reference_cc(aut, expected[gdss]))
-    assert structures.cc_hat == reference_graph(reference_cc(ghat, expected[gdss]))
+    assert build_structure(aut, "cc") == reference_graph(reference_cc(aut, expected[gdss]))
+    assert build_structure(aut, "cc-hat") == reference_graph(reference_cc(ghat, expected[gdss]))
 
 
 class TestMatchesReference:
@@ -579,7 +579,7 @@ def assert_count_matches_walk(aut):
     and walked on ``aut``'s own tables, as the verifiers do, against the
     same products on ghat."""
     structures = Structures(aut)
-    ghat = structures.ghat
+    ghat = build_ghat(aut)
     core = structures.observer_search(True, aut.non_secret_initials)
     iso_observer = structures.observer_search(False, aut.non_secret_initials)
     estimates = structures.observer_search(False, aut.initial_states)
@@ -645,7 +645,7 @@ class TestCountMatchesWalk:
             initial_states=["p", "r"],
             secret_states=["r"],
         )
-        assert Structures(aut).ghat.states
+        assert build_structure(aut, "ghat").states
         assert_count_matches_walk(aut)
 
     def test_no_initial_state(self):
@@ -667,9 +667,9 @@ class TestCountMatchesWalk:
         structures = Structures(aut)
         # The search runs on the system's alphabet; the exported observer
         # keeps only the events the core steps on.
-        assert structures.observer.events == [("a", True)]
+        assert build_structure(aut, "observer").events == [("a", True)]
         assert not any(structures.observer_search(True, aut.non_secret_initials).steps["b"])
-        assert structures.ghat.states == ()
+        assert build_structure(aut, "ghat").states == ()
         assert structures.count(_SPECS["SCSO"]).collapsed == 1 << aut.states.index("s")
         assert structures.count(_SPECS["SISO"]) == (0, 0, 0, 0)
         assert_count_matches_walk(aut)

@@ -13,10 +13,10 @@ from opacheck import (
     serialize,
     validate,
 )
+from opacheck.constructions import STRUCTURES, build_structure
 from opacheck.fileformat import AutomatonDocument, document_of
 from opacheck.generate import fuzz_automaton
 from opacheck.model import AllStatesSecretWarning, PrunedStatesWarning, check_description
-from opacheck.verifiers import Structures
 
 from conftest import FIXTURE_NAMES, assert_valid_dot, fixture_path
 
@@ -289,12 +289,12 @@ class TestSerialize:
 
 class TestExportDot:
     def test_product_contains_named_pair_state(self, scso_pos):
-        dot = export_dot(Structures(scso_pos).cc)
+        dot = export_dot(build_structure(scso_pos, "cc"))
         assert '"(x4,{x1,x5})"' in dot
         assert_valid_dot(dot)
 
     def test_empty_estimate_rendered_as_empty_braces(self, cso_not_scso):
-        dot = export_dot(Structures(cso_not_scso).cc)
+        dot = export_dot(build_structure(cso_not_scso, "cc"))
         assert '"(x5,{})"' in dot
         assert '"(u,eps)"' in dot
         assert '"(a,a)"' in dot
@@ -307,14 +307,13 @@ class TestExportDot:
     def test_every_fixture_and_structure_parses(self):
         for name in FIXTURE_NAMES:
             aut = parse(fixture_path(name).read_bytes()).to_automaton()
-            built = Structures(aut)
-            structures = [aut, built.gdss, built.ghat, built.observer, built.cc, built.cc_hat]
+            structures = [aut, *(build_structure(aut, name) for name in STRUCTURES)]
             for structure in structures:
                 assert_valid_dot(export_dot(structure))
 
     def test_export_is_deterministic(self, siso_neg):
-        cc = Structures(siso_neg).cc_hat
-        assert export_dot(cc) == export_dot(cc) == export_dot(Structures(siso_neg).cc_hat)
+        cc = build_structure(siso_neg, "cc-hat")
+        assert export_dot(cc) == export_dot(cc) == export_dot(build_structure(siso_neg, "cc-hat"))
 
     def test_unsupported_type_rejected(self):
         with pytest.raises(TypeError):
@@ -325,13 +324,13 @@ class TestExportDot:
 
 class TestNativeExports:
     def test_observer_document_round_trips(self, scso_pos):
-        doc = document_of(Structures(scso_pos).observer)
+        doc = document_of(build_structure(scso_pos, "observer"))
         assert parse(serialize(doc)) == doc
         assert "{x1,x5}" in doc.states
         assert doc.initial == ("{x0,x3}",)
 
     def test_cc_document_round_trips(self, cso_not_scso):
-        doc = document_of(Structures(cso_not_scso).cc)
+        doc = document_of(build_structure(cso_not_scso, "cc"))
         assert parse(serialize(doc)) == doc
         assert "(x5,{})" in doc.states
         assert ("(u,eps)", False) in doc.events
@@ -346,7 +345,7 @@ class TestNativeExports:
             transitions=[("q", "eps,eps", "q"), ("q", "eps,eps,eps", "q")],
             initial_states=["q"],
         )
-        cc = Structures(aut).cc
+        cc = build_structure(aut, "cc")
         for render in (document_of, export_dot):
             with pytest.raises(ValidationError, match=r"'\(eps,eps,eps,eps\)'"):
                 render(cc)

@@ -17,7 +17,7 @@ from opacheck import (
     validate,
     Witness,
 )
-from opacheck.constructions import Graph, search_observer, subset_label
+from opacheck.constructions import Graph, build_structure, search_observer, subset_label
 from opacheck.generate import IMPLICATIONS, fuzz_instances
 from opacheck.model import AllStatesSecretWarning
 from opacheck.oracle import _SHAPES, _adjacency, _fold
@@ -112,7 +112,7 @@ def test_product_witnesses_are_shortest():
 
 
 def test_siso_leak_set_is_exact(siso_neg):
-    cc = Structures(siso_neg).cc_hat
+    cc = build_structure(siso_neg, "cc-hat")
     leaking = {s for s in map(cc_state, (label for label, _ in cc.states)) if s.right is None}
     assert leaking == {CCState("x4", None), CCState("x5", None)}
 
@@ -377,7 +377,7 @@ def test_decider_builds_no_labelled_structure(monkeypatch):
     automata = {name: load_fixture(name) for name in FIXTURE_NAMES}
     monkeypatch.setattr(Graph, "__new__", refuse)
     with pytest.raises(AssertionError, match="Graph built"):
-        Structures(automata["scso_positive"]).cc
+        build_structure(automata["scso_positive"], "cc")
     for name, aut in automata.items():
         verdicts = check_all(aut, witness=True)
         for prop, expected in EXPECTED_VERDICTS[name].items():
@@ -431,7 +431,7 @@ def test_iso_and_cso_alone_build_no_core(monkeypatch):
     """Every property is decided on the system's own tables, so neither
     the non-secret core nor the secret-start part is ever built, and ISO
     decided alone counts its one product; the verdicts are unchanged."""
-    from opacheck import verifiers
+    from opacheck import constructions, verifiers
 
     automata = [
         *map(load_fixture, FIXTURE_NAMES),
@@ -451,8 +451,8 @@ def test_iso_and_cso_alone_build_no_core(monkeypatch):
         counted.append(args)
         return count_product(*args)
 
-    monkeypatch.setattr(verifiers, "build_gdss", refuse)
-    monkeypatch.setattr(verifiers, "build_ghat", refuse)
+    monkeypatch.setattr(constructions, "build_gdss", refuse)
+    monkeypatch.setattr(constructions, "build_ghat", refuse)
     monkeypatch.setattr(verifiers, "count_product", counting)
     for aut, verdicts in zip(automata, expected):
         records = {p: verdict_record(v) for p, v in check_all(aut, witness=True).items()}
@@ -465,29 +465,42 @@ def test_iso_and_cso_alone_build_no_core(monkeypatch):
 
 def test_exports_build_only_the_part_they_show(monkeypatch):
     """The observer and cc are built on the system's own tables; only
-    cc-hat, gdss and ghat build a part of the system."""
-    from opacheck import verifiers
+    cc-hat, gdss and ghat build a part of the system, and only the
+    last three search the core's observer, once."""
+    from opacheck import constructions
 
     built = []
 
     def recording(name):
-        build = getattr(verifiers, name)
-        return lambda g: built.append(name) or build(g)
+        build = getattr(constructions, name)
+        return lambda *args, **kwargs: built.append(name) or build(*args, **kwargs)
 
-    for name in ("build_gdss", "build_ghat"):
-        monkeypatch.setattr(verifiers, name, recording(name))
+    for name in ("build_gdss", "build_ghat", "search_observer"):
+        monkeypatch.setattr(constructions, name, recording(name))
     parts = {
-        "observer": [],
-        "cc": [],
-        "cc_hat": ["build_ghat"],
+        "observer": ["search_observer"],
+        "cc": ["search_observer"],
+        "cc-hat": ["search_observer", "build_ghat"],
         "gdss": ["build_gdss"],
         "ghat": ["build_ghat"],
     }
+    assert set(parts) == set(constructions.STRUCTURES)
     for aut in map(load_fixture, FIXTURE_NAMES):
-        for attribute, expected in parts.items():
+        for name, expected in parts.items():
             built.clear()
-            getattr(Structures(aut), attribute)
-            assert built == expected, attribute
+            build_structure(aut, name)
+            assert built == expected, name
+
+
+def test_unknown_structure_is_rejected_before_any_is_searched(cso_not_scso, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a structure was searched")
+
+    for name in ("build_gdss", "build_ghat", "search_observer"):
+        monkeypatch.setattr(f"opacheck.constructions.{name}", refuse)
+    for name in ("cc_hat", "CC", "", "gdss "):
+        with pytest.raises(ValueError, match=f"unknown structure: {name!r}"):
+            build_structure(cso_not_scso, name)
 
 
 def recorded_walks(monkeypatch):
@@ -549,6 +562,17 @@ def test_unknown_property_is_rejected_before_any_is_decided(cso_not_scso, monkey
     monkeypatch.setattr("opacheck.verifiers.search_observer", refuse)
     with pytest.raises(ValueError, match="NOPE"):
         check_all(cso_not_scso, properties=("CSO", "NOPE"))
+
+
+def test_properties_given_as_one_string_are_rejected(cso_not_scso, monkeypatch):
+    # A string would split into one-letter names; the message names it whole.
+    def refuse(*args):
+        raise AssertionError("a property was decided")
+
+    monkeypatch.setattr("opacheck.verifiers.search_observer", refuse)
+    for properties in ("SCSO", "CSO", ""):
+        with pytest.raises(ValueError, match=f"bad properties {properties!r}: must be a collection"):
+            check_all(cso_not_scso, properties=properties)
 
 
 # --- pinned decider output -----------------------------------------------------
