@@ -52,8 +52,8 @@ render a search straight into a :class:`Graph`, in label order, and
 Both start the product at given left states, so the product of a part of
 an automaton that keeps every arc out of its states, such as ``Ĝ``, is
 counted and walked on the whole automaton's tables.  The non-secret
-core's observer is searched on the automaton's core tables, so the
-deciders build neither ``G_dss`` nor ``Ĝ``.
+core's observer is searched on the automaton's ``_core``, which keeps
+all of its states, so the deciders build neither ``G_dss`` nor ``Ĝ``.
 """
 
 from __future__ import annotations
@@ -98,18 +98,16 @@ class Graph(NamedTuple):
     transitions: list[tuple[str, str, str]]  # (source, label, target)
 
 
-def _restrict(
-    g: Automaton, initial: frozenset[str], allowed: frozenset[str], secret: frozenset[str]
-) -> Automaton:
-    """The part of ``g`` reachable from ``initial`` through ``allowed``
-    states.
+def _restrict(g: Automaton, initial: frozenset[str]) -> Automaton:
+    """The part of ``g`` reachable from ``initial``.
 
     The alphabet shrinks to the events labelling a surviving transition;
-    observability tags are inherited and the surviving states of
-    ``secret`` stay secret.
+    observability tags are inherited and the surviving secret states stay
+    secret.
     """
-    seen = _reach(initial, (arc for arc in g.transitions if arc[2] in allowed))
-    kept = [(s, e, t) for (s, e, t) in g.transitions if s in seen and t in seen]
+    seen = _reach(initial, g.transitions)
+    # A transition out of a reachable state also ends in one.
+    kept = [arc for arc in g.transitions if arc[0] in seen]
     used_events = {e for _, e, _ in kept}
     return Automaton.build(
         states=seen,
@@ -117,7 +115,7 @@ def _restrict(
         observable=g.observable & used_events,
         transitions=kept,
         initial_states=initial,
-        secret_states=secret & seen,
+        secret_states=g.secret_states & seen,
     )
 
 
@@ -128,7 +126,7 @@ def build_gdss(g: Automaton) -> Automaton:
     initial states along runs that never visit a secret state.  The
     result may be empty.
     """
-    return _restrict(g, g.non_secret_initials, g._state_set - g.secret_states, frozenset())
+    return _restrict(g._core, g._core.initial_states)
 
 
 def build_ghat(g: Automaton) -> Automaton:
@@ -137,7 +135,7 @@ def build_ghat(g: Automaton) -> Automaton:
     Keeps everything reachable from the secret initial states (secret or
     not); empty when there is no secret initial state.
     """
-    return _restrict(g, g.secret_initials, g._state_set, g.secret_states)
+    return _restrict(g, g.secret_initials)
 
 
 def _bits(mask: int) -> list[int]:
@@ -194,22 +192,19 @@ class ObserverSearch:
         return next((i for i, mask in enumerate(self.masks) if i and not mask & ~within), None)
 
 
-def search_observer(
-    src: Automaton, initial_states: "Iterable[str] | None" = None, core: bool = False
-) -> ObserverSearch:
-    """Breadth-first search of the observer of ``src``, or of its
-    non-secret core (``core``), started at the closure of
-    ``initial_states`` (``src``'s own by default).
+def search_observer(src: Automaton, initial_states: "Iterable[str] | None" = None) -> ObserverSearch:
+    """Breadth-first search of the observer of ``src``, started at the
+    closure of ``initial_states`` (``src``'s own by default).
 
     No closure is searched per step: ``src`` packs, per state, the silent
     closure of each observable event's targets into one int (see
     :class:`~opacheck.model.ClosedImages`), so one OR over an estimate's
-    members steps it on every event, and a shift splits the result.  The
-    core too is searched on ``src``'s bits and whole observable alphabet;
-    its steps on an event it never uses are all 0.
+    members steps it on every event, and a shift splits the result.  A
+    non-secret core keeps its automaton's whole observable alphabet; its
+    steps on an event it never uses are all 0.
     """
     alphabet = tuple(sorted(src.observable))
-    tables = src._core_images if core else src._closed_images
+    tables = src._closed_images
     packed = tables.packed
     n = len(src.states)
     full = (1 << n) - 1
@@ -478,7 +473,7 @@ def build_structure(g: Automaton, name: str) -> "Automaton | Graph":
         return build_gdss(g)
     if name == "ghat":
         return build_ghat(g)
-    search = search_observer(g, g.non_secret_initials, core=True)
+    search = search_observer(g._core)
     if name == "observer":
         # G_dss's observable events are exactly those the core steps on.
         used = [(event, True) for event in search.alphabet if any(search.steps[event])]

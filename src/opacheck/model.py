@@ -11,7 +11,7 @@ are reproducible.  Automaton and Run values are immutable.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -49,16 +49,14 @@ class AllStatesSecretWarning(AutomatonWarning):
 
 
 class ClosedImages(NamedTuple):
-    """An automaton's states as bit masks, bit i standing for ``states[i]``,
-    over the states kept (all, or the non-secret ones of the core) and the
-    arcs between them; a dropped state closes to 0 and has all-0 rows.
+    """An automaton's states as bit masks, bit i standing for ``states[i]``.
 
     * ``closures`` maps each state to its silent closure;
     * ``packed[i]`` holds, for each observable event, the closure of the
       event's targets from state i (its closed image): event k of the
       sorted observable alphabet at bits ``k*n`` to ``k*n + n - 1``, n
       being the number of states;
-    * ``degree[i]`` counts the kept transitions leaving state i;
+    * ``degree[i]`` counts the transitions leaving state i;
     * ``secret`` is the mask of the secret states.
 
     Closure distributes over union, so the closed image of a set of
@@ -141,28 +139,27 @@ class Automaton:
         return frozenset(self.events)
 
     @cached_property
-    def _closed_images(self) -> "ClosedImages":
-        """The tables of the bit-mask searches (see :class:`ClosedImages`)."""
-        return self._images(self._state_set)
+    def _core(self) -> "Automaton":
+        """The non-secret core: this automaton with every arc into or out of
+        a secret state dropped, started at the non-secret initial states.
+        It keeps the states, events and secret states, so its bits and
+        observable alphabet are this automaton's, and its arcs are a
+        sorted subsequence of this automaton's."""
+        secret = self.secret_states
+        kept = [arc for arc in self.transitions if arc[0] not in secret and arc[2] not in secret]
+        return replace(self, transitions=tuple(kept), initial_states=self.non_secret_initials)
 
     @cached_property
-    def _core_images(self) -> "ClosedImages":
-        """The tables of the non-secret core: as :attr:`_closed_images`,
-        but with every arc into or out of a secret state dropped."""
-        return self._images(self._state_set - self.secret_states)
-
-    def _images(self, kept: frozenset[str]) -> "ClosedImages":
-        """The tables of the states ``kept`` and the arcs between them, on
-        this automaton's bits and observable alphabet, built in one pass
-        over the arcs once the silent closures are known."""
+    def _closed_images(self) -> "ClosedImages":
+        """The tables of the bit-mask searches (see :class:`ClosedImages`),
+        built in one pass over the arcs once the silent closures are known."""
         n = len(self.states)
         index = {x: i for i, x in enumerate(self.states)}
-        closures = {x: 1 << i if x in kept else 0 for x, i in index.items()}
+        closures = {x: 1 << i for x, i in index.items()}
         secret = 0
         for x in self.secret_states:
             secret |= 1 << index[x]
-        arcs = [(s, e, t) for s, e, t in self.transitions if s in kept and t in kept]
-        silent = [(s, t) for s, e, t in arcs if e not in self.observable]
+        silent = [(s, t) for s, e, t in self.transitions if e not in self.observable]
         changed = bool(silent)
         while changed:  # until no closure grows
             changed = False
@@ -173,7 +170,7 @@ class Automaton:
         shift = {event: k * n for k, event in enumerate(sorted(self.observable))}
         packed = [0] * n
         degree = [0] * n
-        for src, event, dst in arcs:
+        for src, event, dst in self.transitions:
             i = index[src]
             degree[i] += 1
             if event in shift:

@@ -35,7 +35,7 @@ from collections import deque
 from typing import Callable, Iterable, NamedTuple
 
 from .constructions import cc_label, subset_label
-from .model import Automaton
+from .model import Automaton, Run
 
 from .verifiers import CSO, INF_SSO, ISO, SCSO, SISO, Witness
 
@@ -210,15 +210,15 @@ def replay_witness(g: Automaton, witness: Witness, prop: str) -> bool:
     """Re-check a verifier witness against the definitions.
 
     Raises :class:`MalformedWitness` when the witness is structurally
-    broken (run does not replay, fields disagree, or the offending state
-    is not labelled as the state the run reaches); returns False when the
-    run replays but does not actually violate the property; True when it
-    is a genuine violation.
+    broken (its run is not a :class:`Run` or does not replay, fields
+    disagree, or the offending state is not labelled as the state the run
+    reaches); returns False when the run replays but does not actually
+    violate the property; True when it is a genuine violation.
     """
     if prop not in _SHAPES:
         raise ValueError(f"unknown property: {prop!r}")
 
-    run = witness.run
+    run = witness.run if isinstance(witness.run, Run) else Run(None)  # no start: malformed
     try:  # a run from outside: steps may not be iterable, or not be pairs
         names = [run.start, *[name for event, state in run.steps for name in (event, state)]]
     except (TypeError, ValueError):

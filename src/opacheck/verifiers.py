@@ -14,15 +14,16 @@ the secret set.  A verdict's stats are the sizes of what its row names.
 :class:`Structures` builds each observer and product on first use, so
 properties decided together share it.
 
-The decider reads only the system g, through its closure tables and
-those of its non-secret core, with the int-keyed searches of
+The decider reads only the system g and its non-secret core
+``g._core``, a view that shares g's states and needs no sort, through
+their closure tables, with the int-keyed searches of
 :mod:`~opacheck.constructions`: estimates are bit masks, product states
-are ints, and no automaton but g and no labelled structure is built.  A
-product is decided by its count, which gives its exact sizes and the
-mask of its collapsed states; it is walked breadth-first only when a
-witness is asked for and a bad state exists, and the walk stops at the
-first bad state in discovery order, whose tree path is a shortest
-witness.  SCSO and INF_SSO share one walk of the same product: every
+are ints, and no automaton but these two and no labelled structure is
+built.  A product is decided by its count, which gives its exact sizes
+and the mask of its collapsed states; it is walked breadth-first only
+when a witness is asked for and a bad state exists, and the walk stops
+at the first bad state in discovery order, whose tree path is a
+shortest witness.  SCSO and INF_SSO share one walk of the same product: every
 SCSO-bad state is INF_SSO-bad and SCSO is decided first, so its walk
 holds INF_SSO's first bad state.  A CSO witness's run is read off the
 walk of g with the automaton of its observation.  A witness labels only
@@ -48,7 +49,7 @@ from .constructions import (
     search_product,
     subset_label,
 )
-from .model import Automaton, ClosedImages, Run
+from .model import Automaton, Run
 
 CSO = "CSO"
 ISO = "ISO"
@@ -125,10 +126,9 @@ class Structures:
     The decider reads an observer search (:meth:`observer_search`) and a
     row's product count (:meth:`count`) for sizes and verdicts, and walks
     the row's product (:meth:`walk`) only as far as its first bad state,
-    for a witness.  All run on g's tables: the core's observer on its
-    core tables, and ``Ĝ``'s products on g's started at the secret
-    initial states, since ``Ĝ`` keeps every arc out of the states it
-    reaches.
+    for a witness.  The core's observer is searched on ``g._core``, the
+    rest on g, ``Ĝ``'s products started at the secret initial states,
+    since ``Ĝ`` keeps every arc out of the states it reaches.
     """
 
     def __init__(self, g: Automaton):
@@ -139,15 +139,15 @@ class Structures:
         self._walks: dict[tuple, ProductSearch] = {}
 
     def observer_search(self, core: bool, start: Iterable[str]) -> ObserverSearch:
-        """The observer of the non-secret core (``core``) or of g, started
-        at the closure of ``start``, searched on g's tables.  Starts that
-        close alike share one search, so ISO's observer is the estimate
-        automaton whenever the non-secret initial states close to the
-        initial estimate."""
-        g = self.g
-        key = (core, (g._core_images if core else g._closed_images).closure(start))
+        """The observer of the non-secret core ``g._core`` (``core``) or of
+        g, started at the closure of ``start``.  Starts that close alike
+        share one search, so ISO's observer is the estimate automaton
+        whenever the non-secret initial states close to the initial
+        estimate."""
+        source = self.g._core if core else self.g
+        key = (core, source._closed_images.closure(start))
         if key not in self._observers:
-            self._observers[key] = search_observer(g, start, core)
+            self._observers[key] = search_observer(source, start)
         return self._observers[key]
 
     def count(self, spec: _Spec) -> ProductCount:
@@ -179,7 +179,7 @@ def _decide(structures: Structures, prop: str, witness: bool) -> Verdict:
     stats = {}
     if spec.core:
         # G_dss's states are those of the core's estimates, with their core arcs.
-        stats["gdss_states"], stats["gdss_transitions"] = _extent(observer.masks, g._core_images)
+        stats["gdss_states"], stats["gdss_transitions"] = _extent(observer.masks, observer.source)
     found = None
     if spec.start is None:
         stats["estimate_states"], stats["estimate_transitions"] = observer.size
@@ -191,7 +191,7 @@ def _decide(structures: Structures, prop: str, witness: bool) -> Verdict:
     if spec.start == "secret_initials":
         # ghat's states are the left states of this product, whatever the
         # observer, and ghat keeps every arc out of them.
-        stats["ghat_states"], stats["ghat_transitions"] = _extent([count.left], g._closed_images)
+        stats["ghat_states"], stats["ghat_transitions"] = _extent([count.left], g)
     stats["observer_states"], stats["observer_transitions"] = observer.size
     stats["product_states"], stats["product_transitions"] = count.size
     bad = count.collapsed  # left states of the collapsed product states
@@ -203,11 +203,12 @@ def _decide(structures: Structures, prop: str, witness: bool) -> Verdict:
     return Verdict(prop, not bad, found, stats)
 
 
-def _extent(masks: Iterable[int], tables: ClosedImages) -> tuple[int, int]:
-    """(states, transitions) of the part of g whose states are those in
-    ``masks`` and whose arcs are the ones ``tables`` keeps out of them."""
+def _extent(masks: Iterable[int], aut: Automaton) -> tuple[int, int]:
+    """(states, transitions) of the part of ``aut`` whose states are those
+    in ``masks`` and whose arcs are all of ``aut``'s arcs out of them."""
     mask = reduce(or_, masks, 0)
-    return mask.bit_count(), sum([tables.degree[i] for i in _bits(mask)])
+    degree = aut._closed_images.degree
+    return mask.bit_count(), sum([degree[i] for i in _bits(mask)])
 
 
 def check_all(

@@ -98,6 +98,18 @@ def chain_instances():
             yield validate(names, events, transitions, initial, secret)
 
 
+def kth_from_end(k):
+    """States q0..qk, ``a`` and ``b`` observable and qk secret, reached
+    exactly when the k-th observed event from the end is ``a``: q0 loops
+    on both events and goes to q1 on ``a``, and each qi goes to qi+1 on
+    both.  Its observer has 2^k estimates, one per word of the last k
+    observed events."""
+    names = [f"q{i}" for i in range(k + 1)]
+    transitions = [("q0", "a", "q0"), ("q0", "b", "q0"), ("q0", "a", "q1")]
+    transitions += [(names[i], e, names[i + 1]) for i in range(1, k) for e in "ab"]
+    return validate(names, [("a", True), ("b", True)], transitions, ["q0"], [names[k]])
+
+
 def chain(length, event_of):
     """States c00, c01, ... in a line; step i is labelled ``event_of(i)``.
     ``u`` is silent, every other event observable."""

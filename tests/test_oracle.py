@@ -245,8 +245,10 @@ class TestReplayWitness:
             ((), Run(["a"], ())),
             ((["x"],), Run("a", ((["x"], "b"),))),
             ((), Run("a", None)),
+            ((), None),
+            ((), ("a", ())),
         ],
-        ids=["short-step", "long-step", "list-start", "list-event", "no-steps"],
+        ids=["short-step", "long-step", "list-start", "list-event", "no-steps", "no-run", "tuple-run"],
     )
     def test_malformed_run_is_malformed(self, events, run):
         transitions = [("a", "x", "b"), ("b", "u", "a")]

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from opacheck import (
+    Automaton,
     Run,
     build_gdss,
     build_ghat,
@@ -33,6 +34,7 @@ from conftest import (
     enumerate_runs,
     fixture_path,
     is_valid,
+    kth_from_end,
     larger_instances,
     load_fixture,
     offending_label,
@@ -180,6 +182,52 @@ def test_stats_report_structure_sizes(scso_pos):
         built = reference_structures(aut)
         for prop in SIZED:
             assert dict(verdicts[prop].stats) == reference_stats(built, prop), prop
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_kth_observed_event_from_the_end_sizes(k):
+    # The estimates are exponential in k and G_dss linear; every property
+    # holds, since q0 explains every observation without a secret state.
+    g = kth_from_end(k)
+    verdicts = check_all(g)
+    assert all(verdict.holds for verdict in verdicts.values())
+    cso, scso = verdicts["CSO"].stats, verdicts["SCSO"].stats
+    assert (cso["estimate_states"], cso["estimate_transitions"]) == (2**k, 2 ** (k + 1))
+    assert (scso["gdss_states"], scso["gdss_transitions"]) == (k, 2 * k - 1)
+    assert (scso["observer_states"], scso["observer_transitions"]) == (2 ** (k - 1), 2**k)
+    assert scso["product_states"] == (k + 3) * 2 ** (k - 2)
+    assert scso["product_transitions"] == (k + 2) * 2 ** (k - 1)
+    assert len(build_structure(g, "observer").states) == scso["observer_states"]
+    assert len(build_structure(g, "cc").states) == scso["product_states"]
+
+
+def reversed_names(aut):
+    """``aut`` with its states renamed so that their sorted order reverses."""
+    rename = dict(zip(aut.states, reversed(aut.states)))
+    return Automaton.build(
+        states=aut.states,
+        events=aut.events,
+        observable=aut.observable,
+        transitions=[(rename[s], e, rename[t]) for s, e, t in aut.transitions],
+        initial_states=[rename[x] for x in aut.initial_states],
+        secret_states=[rename[x] for x in aut.secret_states],
+    )
+
+
+def test_renaming_the_states_keeps_verdicts_sizes_and_witness_lengths():
+    """Reversing the states' order reverses their bits and reorders each
+    product walk, but no verdict, size or witness length (a shortest one)
+    may change, and every witness of the renamed automaton replays.  The
+    chains' masks are wider than 64 bits."""
+    for aut in (*random_instances(300), *larger_instances(), *chain_instances()):
+        renamed = reversed_names(aut)
+        before, after = check_all(aut, witness=True), check_all(renamed, witness=True)
+        for prop in PROPERTIES:
+            assert (after[prop].holds, after[prop].stats) == (before[prop].holds, before[prop].stats)
+            found = after[prop].witness
+            if found is not None:
+                assert len(found.event_sequence) == len(before[prop].witness.event_sequence)
+                assert replay_witness(renamed, found, prop) is True
 
 
 def test_verdicts_are_deterministic():
@@ -428,9 +476,10 @@ def test_no_walk_without_witness(monkeypatch):
 
 
 def test_iso_and_cso_alone_build_no_core(monkeypatch):
-    """Every property is decided on the system's own tables, so neither
-    the non-secret core nor the secret-start part is ever built, and ISO
-    decided alone counts its one product; the verdicts are unchanged."""
+    """Every property is decided on the tables of the system and of its
+    ``_core`` view, so neither ``G_dss`` nor the secret-start part is ever
+    built; CSO or ISO decided alone does not take the view, and ISO
+    counts its one product.  The verdicts are unchanged."""
     from opacheck import constructions, verifiers
 
     automata = [
@@ -459,8 +508,10 @@ def test_iso_and_cso_alone_build_no_core(monkeypatch):
         assert records == {p: verdict_record(v) for p, v in verdicts.items()}
         for prop in ("ISO", "CSO"):
             counted.clear()
-            assert verdict_record(check(aut, prop, witness=True)) == verdict_record(verdicts[prop])
+            fresh = replace(aut)
+            assert verdict_record(check(fresh, prop, witness=True)) == verdict_record(verdicts[prop])
             assert len(counted) == (prop == "ISO")
+            assert "_core" not in fresh.__dict__
 
 
 def test_exports_build_only_the_part_they_show(monkeypatch):
