@@ -204,8 +204,12 @@ def export_dot(structure: "Automaton | Graph") -> str:
     graph = _graph(structure)
     observable = dict(graph.events)
     out = [f"digraph {graph.name} {{", "  rankdir=LR;", '  node [shape=circle];']
+    # Entry markers are nodes too: their prefix starts no state's label.
+    prefix = "__start_"
+    while any(label.startswith(prefix) for label, _ in graph.states):
+        prefix += "_"
     for index, label in enumerate(graph.initial):
-        marker = f"__start_{index}"
+        marker = f"{prefix}{index}"
         out.append(f"  {_quote(marker)} [shape=point, label=\"\"];")
         out.append(f"  {_quote(marker)} -> {_quote(label)};")
     for label, is_secret in graph.states:

@@ -84,6 +84,8 @@ _SECRET_RATIOS = (0.0, 0.2, 0.4, 0.7, 1.0)
 
 def fuzz_automaton(base_seed: int, index: int, max_states: int = 6, max_events: int = 4) -> Automaton:
     """Deterministic random instance ``index`` of a fuzz campaign."""
+    if max_states < 1 or max_events < 1:
+        raise ValueError(f"max_states and max_events must be >= 1, not {max_states} and {max_events}")
     rng = random.Random(base_seed * 1_000_003 + index)
     return random_automaton(
         rng=rng,

@@ -119,24 +119,12 @@ class Automaton:
         )
 
     @cached_property
-    def unobservable(self) -> frozenset[str]:
-        return frozenset(self.events) - self.observable
-
-    @cached_property
     def non_secret_initials(self) -> frozenset[str]:
         return self.initial_states - self.secret_states
 
     @cached_property
     def secret_initials(self) -> frozenset[str]:
         return self.initial_states & self.secret_states
-
-    @cached_property
-    def _state_set(self) -> frozenset[str]:
-        return frozenset(self.states)
-
-    @cached_property
-    def _event_set(self) -> frozenset[str]:
-        return frozenset(self.events)
 
     @cached_property
     def _core(self) -> "Automaton":

@@ -24,9 +24,9 @@ holds for one of its states.  Witness replay therefore folds the
 witness's observation through the same start and step and applies the
 same test with ``reach`` narrowed to the end of the witness's own run.
 
-Adjacency is rebuilt here from the raw transition relation on purpose,
-and witness replay checks each run step against it too: a bug in the
-shared model indexes cannot hide in both code paths.
+Every set read here is derived from the automaton's six fields on
+purpose, and replay checks each run step against the rebuilt adjacency:
+a bug in the model's cached members cannot hide in both code paths.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class MalformedWitness(ValueError):
 
 
 class _Shape(NamedTuple):
-    reach_from: str  # the automaton's attribute naming reach's initial states
+    reach_from: str  # reach's initial states: "all", "secret" or "plain" (see _initials)
     explain_from: str  # likewise for the explanation estimate
     avoid_secrets: bool  # explaining runs must not visit a secret state
     violates: Callable[[_States, _States, _States], bool]  # (secret, reach, explanation)
@@ -69,12 +69,17 @@ def _secret_unexplained(secret: _States, reach: _States, explanation: _States) -
 
 
 _SHAPES = {
-    CSO: _Shape("initial_states", "initial_states", False, _all_secret),
-    ISO: _Shape("secret_initials", "non_secret_initials", False, _unexplained),
-    SCSO: _Shape("initial_states", "non_secret_initials", True, _secret_unexplained),
-    SISO: _Shape("secret_initials", "non_secret_initials", True, _unexplained),
-    INF_SSO: _Shape("initial_states", "non_secret_initials", True, _unexplained),
+    CSO: _Shape("all", "all", False, _all_secret),
+    ISO: _Shape("secret", "plain", False, _unexplained),
+    SCSO: _Shape("all", "plain", True, _secret_unexplained),
+    SISO: _Shape("secret", "plain", True, _unexplained),
+    INF_SSO: _Shape("all", "plain", True, _unexplained),
 }
+
+
+def _initials(g: Automaton, which: str) -> _States:
+    secret = g.secret_states if which != "all" else frozenset()
+    return g.initial_states & secret if which == "secret" else g.initial_states - secret
 
 
 def _adjacency(g: Automaton) -> _Adjacency:
@@ -125,8 +130,8 @@ def _start_and_step(
     g: Automaton, adj: _Adjacency, shape: _Shape
 ) -> tuple[_Pair, Callable[[_Pair, str], _Pair]]:
     """The pair of ``shape`` before any observation, and its step."""
-    silent = g.unobservable
-    everything = g._state_set
+    silent = frozenset(g.events) - g.observable
+    everything = frozenset(g.states)
     within = everything - g.secret_states if shape.avoid_secrets else everything
 
     def step(pair: _Pair, event: str) -> _Pair:
@@ -138,12 +143,12 @@ def _start_and_step(
             return after, after
         return after, _step(adj, silent, explanation, event, within)
 
-    reach = _closure(adj, silent, getattr(g, shape.reach_from), everything)
+    reach = _closure(adj, silent, _initials(g, shape.reach_from), everything)
     # Started and restricted like reach, the explanation is reach itself
     # (CSO): share the one estimate so that it is stepped once.
     if shape.explain_from == shape.reach_from and within is everything:
         return (reach, reach), step
-    return (reach, _closure(adj, silent, getattr(g, shape.explain_from), within)), step
+    return (reach, _closure(adj, silent, _initials(g, shape.explain_from), within)), step
 
 
 def _fold(g: Automaton, adj: _Adjacency, shape: _Shape, observation: Iterable[str]) -> _Pair:
@@ -209,15 +214,17 @@ def oracle_inf_sso(g: Automaton) -> bool:
 def replay_witness(g: Automaton, witness: Witness, prop: str) -> bool:
     """Re-check a verifier witness against the definitions.
 
-    Raises :class:`MalformedWitness` when the witness is structurally
-    broken (its run is not a :class:`Run` or does not replay, fields
-    disagree, or the offending state is not labelled as the state the run
-    reaches); returns False when the run replays but does not actually
-    violate the property; True when it is a genuine violation.
+    Raises :class:`MalformedWitness` when the witness is broken (it is
+    not a :class:`Witness`, its run is not a :class:`Run` or does not
+    replay, fields disagree, or the offending state is not labelled as
+    the state the run reaches); returns False when the run replays but
+    does not violate the property; True when it is a genuine violation.
     """
     if prop not in _SHAPES:
         raise ValueError(f"unknown property: {prop!r}")
 
+    if not isinstance(witness, Witness):
+        raise MalformedWitness(f"a witness is a Witness, not {type(witness).__name__}")
     run = witness.run if isinstance(witness.run, Run) else Run(None)  # no start: malformed
     try:  # a run from outside: steps may not be iterable, or not be pairs
         names = [run.start, *[name for event, state in run.steps for name in (event, state)]]
@@ -228,7 +235,7 @@ def replay_witness(g: Automaton, witness: Witness, prop: str) -> bool:
     if run.events != witness.event_sequence:
         raise MalformedWitness("run events disagree with the witness event sequence")
     for event in witness.event_sequence:
-        if event not in g._event_set:
+        if event not in g.events:
             raise MalformedWitness(f"unknown event {event!r}")
     expected_obs = tuple(e for e in witness.event_sequence if e in g.observable)
     if witness.observation != expected_obs:
@@ -248,5 +255,5 @@ def replay_witness(g: Automaton, witness: Witness, prop: str) -> bool:
     if witness.offending_state != label:
         raise MalformedWitness(f"offending state {witness.offending_state!r} is not {label!r}")
     # The run counts toward reach only when it starts where reach does.
-    ends = frozenset({run.end}) if run.start in getattr(g, shape.reach_from) else frozenset()
+    ends = frozenset({run.end}) if run.start in _initials(g, shape.reach_from) else frozenset()
     return shape.violates(g.secret_states, ends, explanation)

@@ -55,7 +55,7 @@ def witness_from_record(payload):
 
 
 def test_public_api():
-    """Every public name resolves, the version is 0.4.0, both in the
+    """Every public name resolves, the version is 0.5.0, both in the
     package and in pyproject.toml, and the labelled observer and product
     types of 0.1 are gone, as are the run helpers nothing in the library
     used, 0.2's product-state type and 0.3's export attributes of the
@@ -79,7 +79,7 @@ def test_public_api():
             assert not hasattr(cls, name), (cls.__name__, name)
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == opacheck.__version__
-    assert opacheck.__version__ == "0.4.0"
+    assert opacheck.__version__ == "0.5.0"
     for name in ("gdss", "ghat", "observer", "cc", "cc_hat", "_core_observer"):
         assert not hasattr(opacheck.verifiers.Structures, name), name
     for name in ("Graph", "build_gdss", "build_ghat", "observer_graph", "product_graph"):

@@ -281,7 +281,7 @@ class TestBuildCc:
                 if src.right is None:
                     assert dst.right is None
                 if right_part is None:
-                    assert event in aut.unobservable
+                    assert event in aut.events and event not in aut.observable
                     assert dst.right == src.right
                 else:
                     assert event == right_part and event in aut.observable

@@ -315,6 +315,19 @@ class TestExportDot:
         cc = build_structure(siso_neg, "cc-hat")
         assert export_dot(cc) == export_dot(cc) == export_dot(build_structure(siso_neg, "cc-hat"))
 
+    def test_entry_marker_is_no_state(self):
+        # A state named like the first entry marker stays its own node,
+        # and the marker's arrow is the only arrow out of the marker.
+        aut = validate(["__start_0", "q"], [("a", True)], [("q", "a", "__start_0")], ["q"], ["__start_0"])
+        dot = export_dot(aut)
+        assert_valid_dot(dot)
+        lines = dot.splitlines()
+        nodes = [line.split(" [")[0].strip() for line in lines if line.startswith('  "') and "->" not in line]
+        assert len(nodes) == len(set(nodes)) == len(aut.states) + 1
+        (marker,) = [line.split(" [")[0].strip() for line in lines if "shape=point" in line]
+        assert marker.strip('"') not in aut.states
+        assert [line for line in lines if line.startswith(f"  {marker} ->")] == [f'  {marker} -> "q";']
+
     def test_unsupported_type_rejected(self):
         with pytest.raises(TypeError):
             export_dot("not a structure")

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from opacheck import generate
 from opacheck.generate import (
     fuzz_automaton,
     fuzz_instances,
@@ -52,6 +55,13 @@ class TestRandomAutomaton:
         with pytest.raises(ValueError):
             random_automaton(seed=0, **kwargs)
 
+    @pytest.mark.parametrize("max_states, max_events", [(0, 4), (6, 0)])
+    def test_fuzz_bounds_below_one_are_named(self, max_states, max_events):
+        with pytest.raises(ValueError, match="max_states and max_events"):
+            fuzz_automaton(0, 0, max_states, max_events)
+        with pytest.raises(ValueError, match="max_states and max_events"):
+            next(fuzz_instances(1, max_states, 0, max_events))
+
 
 class TestCampaign:
     def test_fixture_campaign_matches_recorded_verdicts(self):
@@ -69,6 +79,19 @@ class TestCampaign:
         assert first.holds == second.holds
         assert first.fails == second.fails
         assert first.ok and second.ok
+
+    def test_dropped_witnesses_are_reported_not_raised(self, monkeypatch):
+        # A decider that loses its witnesses shows as malformed witnesses.
+        def without_witnesses(aut, witness=False):
+            verdicts = decide(aut, witness=witness)
+            return {prop: replace(verdict, witness=None) for prop, verdict in verdicts.items()}
+
+        decide = generate.check_all
+        monkeypatch.setattr(generate, "check_all", without_witnesses)
+        report = run_campaign(fuzz_instances(20, 5, 1))
+        failing = sum(report.fails.values())
+        assert failing and len(report.witness_failures) == failing
+        assert all("malformed witness" in line for line in report.witness_failures)
 
     def test_report_flags_problems(self):
         report = CampaignReport()

@@ -37,7 +37,7 @@ def naive_tables(aut):
     arcs = aut.transitions
     silent = {x: [] for x in aut.states}
     for src, event, dst in arcs:
-        if event in aut.unobservable:
+        if event not in aut.observable:
             silent[src].append(dst)
 
     def closure(sources):
@@ -74,7 +74,7 @@ class TestValidate:
     def test_fixture_file_accepted_unpruned(self, cso_not_scso):
         assert len(cso_not_scso.states) == 7
         assert cso_not_scso.observable == frozenset({"a", "b"})
-        assert cso_not_scso.unobservable == frozenset({"u"})
+        assert set(cso_not_scso.events) - cso_not_scso.observable == {"u"}
         assert cso_not_scso.initial_states == frozenset({"x0"})
         assert cso_not_scso.secret_states == frozenset({"x4", "x5"})
         assert cso_not_scso.non_secret_initials == frozenset({"x0"})

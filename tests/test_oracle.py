@@ -1,5 +1,6 @@
 import random
-from dataclasses import replace
+import types
+from dataclasses import fields, replace
 
 import pytest
 
@@ -78,6 +79,19 @@ def test_no_initial_state_holds_vacuously():
         verdicts = check_all(aut)
         for prop in PROPERTIES:
             assert ORACLES[prop](aut) is verdicts[prop].holds is True, f"{secret} {prop}"
+
+
+def test_oracle_reads_only_the_six_fields():
+    # Stripped of every derived member, an automaton still gets the
+    # verifiers' verdicts from the oracle, and their witnesses replay.
+    fixtures = [(name, load_fixture(name)) for name in FIXTURE_NAMES]
+    for label, aut in (*fixtures, *fuzz_instances(300, 6, seed=3)):
+        bare = types.SimpleNamespace(**{f.name: getattr(aut, f.name) for f in fields(aut)})
+        verdicts = check_all(aut, witness=True)
+        for prop in PROPERTIES:
+            assert ORACLES[prop](bare) is verdicts[prop].holds, f"{label} {prop}"
+            if not verdicts[prop].holds:
+                assert replay_witness(bare, verdicts[prop].witness, prop) is True, f"{label} {prop}"
 
 
 def built_automaton(rng):
@@ -255,6 +269,10 @@ class TestReplayWitness:
         aut = validate(["a", "b"], [("x", True), ("u", False)], transitions, ["a"], ["b"])
         with pytest.raises(MalformedWitness):
             replay_witness(aut, Witness(events, events, None, run), "SCSO")
+
+    def test_missing_witness_is_malformed(self, cso_not_scso):
+        with pytest.raises(MalformedWitness):
+            replay_witness(cso_not_scso, None, "SCSO")
 
     def test_unknown_property_rejected(self, cso_not_scso):
         witness = check(cso_not_scso, "SCSO", witness=True).witness

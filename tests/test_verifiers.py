@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import random
 from collections import deque
 from dataclasses import replace
 
@@ -228,6 +229,41 @@ def test_renaming_the_states_keeps_verdicts_sizes_and_witness_lengths():
             if found is not None:
                 assert len(found.event_sequence) == len(before[prop].witness.event_sequence)
                 assert replay_witness(renamed, found, prop) is True
+
+
+def copied_state(aut, rng):
+    """``aut`` with a copy of a state x picked by ``rng``: the copy has x's
+    secret flag and copies of x's out-arcs, and each in-arc of x goes to
+    the copy instead with probability one half."""
+    x = rng.choice(aut.states)
+    copy = x + "~"
+    while copy in aut.states:
+        copy += "~"
+    arcs = [(s, e, copy if t == x and rng.random() < 0.5 else t) for s, e, t in aut.transitions]
+    arcs += [(copy, e, t) for s, e, t in aut.transitions if s == x]
+    return Automaton.build(
+        states=(*aut.states, copy),
+        events=aut.events,
+        observable=aut.observable,
+        transitions=arcs,
+        initial_states=aut.initial_states,
+        secret_states=aut.secret_states | ({copy} if x in aut.secret_states else set()),
+    )
+
+
+def test_copying_a_state_keeps_verdicts():
+    """Mapping the copy back onto x takes each run of the new automaton to
+    a run of ``aut`` with the same events and secret visits, and each run
+    of ``aut`` lifts back, so no verdict may change; every witness of the
+    new automaton replays.  Sizes may grow, so they are not compared."""
+    rng = random.Random(2109)
+    for aut in (*random_instances(300), *larger_instances(), *chain_instances()):
+        copied = copied_state(aut, rng)
+        before, after = check_all(aut), check_all(copied, witness=True)
+        for prop in PROPERTIES:
+            assert after[prop].holds == before[prop].holds, prop
+            if not after[prop].holds:
+                assert replay_witness(copied, after[prop].witness, prop) is True
 
 
 def test_verdicts_are_deterministic():
