@@ -40,7 +40,7 @@ from .verifiers import (
     check_all,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "Automaton",

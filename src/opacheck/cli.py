@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 
@@ -31,10 +32,36 @@ def _load_automaton(path):
     return aut
 
 
+class _OutputError(Exception):
+    """Writing or flushing stdout failed."""
+
+
+def _print(text: str = "", end: str = "\n", flush: bool = False) -> None:
+    """``print(text)`` to stdout, raising _OutputError when that fails:
+    stdout is full or closed, or its encoding lacks a character."""
+    try:
+        print(text, end=end, flush=flush)
+    except (OSError, UnicodeEncodeError) as exc:
+        raise _OutputError(exc) from exc
+
+
+def _drop_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that what its
+    buffer still holds is not flushed, and does not fail again, at exit.
+    An in-memory stdout has no descriptor and needs nothing."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def _write(payload: bytes, out) -> int:
     """Write ``payload`` to the file ``out``, or to stdout when it is None."""
     if out is None:
-        sys.stdout.write(payload.decode("utf-8"))
+        _print(payload.decode("utf-8"), end="")
         return 0
     try:
         with open(out, "wb") as handle:
@@ -75,9 +102,9 @@ def cmd_check(args) -> int:
     for verdict in check_all(aut, witness=args.witness, properties=selected).values():
         all_hold &= verdict.holds
         if args.output == "machine":
-            print(json.dumps(verdict_record(verdict), sort_keys=True))
+            _print(json.dumps(verdict_record(verdict), sort_keys=True))
         else:
-            print(_human_verdict(verdict))
+            _print(_human_verdict(verdict))
     return 0 if all_hold else 1
 
 
@@ -121,14 +148,14 @@ def cmd_fuzz(args) -> int:
     report = generate.run_campaign(
         generate.fuzz_instances(args.count, args.max_states, args.seed)
     )
-    print(f"instances: {report.count}")
-    print(f"{'property':<10} {'holds':>8} {'fails':>8}")
+    _print(f"instances: {report.count}")
+    _print(f"{'property':<10} {'holds':>8} {'fails':>8}")
     for prop in PROPERTIES:
-        print(f"{prop:<10} {report.holds[prop]:>8} {report.fails[prop]:>8}")
+        _print(f"{prop:<10} {report.holds[prop]:>8} {report.fails[prop]:>8}")
     problems = report.discrepancies + report.implication_violations + report.witness_failures
-    print(f"discrepancies: {len(problems)}")
+    _print(f"discrepancies: {len(problems)}")
     for line in problems:
-        print(f"  {line}")
+        _print(f"  {line}")
     return 0 if report.ok else 1
 
 
@@ -183,7 +210,15 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        # Flushed here, so that a failed write shows now, not at exit.
+        _print(end="", flush=True)
+    except _OutputError as exc:
+        _drop_stdout()
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
-"""Derived structures used by the verifiers.
+"""Derived structures used by the verifiers and by ``export``.
 
-Four constructions are provided:
+The paper's four constructions, each with its function here:
 
 * ``build_gdss``   -- the non-secret core: the part of the system that a
   run can traverse without ever touching a secret state, started from
@@ -20,15 +20,16 @@ The two restrictions are automata: immutable, reachable from their
 initial states, components sorted.  The observer and the product are
 searches on plain ints, and each keeps the breadth-first tree of its
 search as ``parents``: in discovery order, each state maps to the
-(state, label) it was first reached from, each initial state to None.
+(state, event) it was first reached from, each initial state to None.
 A shortest path to any state is read off that tree.  The deciders read
 sizes from the observer search and the product count, and walk a product
 only for a witness, up to its first bad state; a witness labels just its
-offending state.  ``subset_label`` and ``cc_label`` are the one writer
-of an estimate's and a product state's label.  Only ``export`` labels a
-whole observer or product: ``observer_graph`` and ``product_graph``
-render a search straight into a :class:`Graph`, in label order, and
-``build_structure`` gives each structure ``export`` names.
+offending state.  ``subset_label``, ``cc_label`` and ``pair_label`` are
+the one writer of an estimate's, a product state's and an event pair's
+label.  Only ``export`` labels a whole observer or product:
+``observer_graph`` and ``product_graph`` render a search straight into
+a :class:`Graph`, in label order, and ``build_structure`` gives each
+structure ``export`` names.
 
 * ``search_observer`` keeps each estimate as a bit mask over the
   source's states and numbers the estimates 1, 2, ... in discovery
@@ -66,10 +67,6 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .model import Automaton, _reach
 
-# An event pair labels a product transition: (sigma, sigma) when sigma is
-# observable, (sigma, None) when it is silent on the observer side.
-EventPair = tuple[str, "str | None"]
-
 
 def subset_label(subset: Iterable[str]) -> str:
     """Render a state subset as ``{x1,x5}``; the empty estimate as ``{}``."""
@@ -82,9 +79,11 @@ def cc_label(left: str, estimate_label: str) -> str:
     return f"({left},{estimate_label})"
 
 
-def pair_label(pair: EventPair) -> str:
-    """Render an event pair as ``(a,a)`` or ``(u,eps)``."""
-    return f"({pair[0]},{pair[1] if pair[1] is not None else 'eps'})"
+def pair_label(event: str, observable: bool) -> str:
+    """Render the event pair labelling a product transition on ``event``:
+    ``(a,a)`` when it is observable, ``(u,eps)`` when it is silent on the
+    observer side."""
+    return f"({event},{event if observable else 'eps'})"
 
 
 class Graph(NamedTuple):
@@ -135,7 +134,7 @@ def build_ghat(g: Automaton) -> Automaton:
     Keeps everything reachable from the secret initial states (secret or
     not); empty when there is no secret initial state.
     """
-    return _restrict(g, g.secret_initials)
+    return _restrict(g, g.initial_states & g.secret_states)
 
 
 def _bits(mask: int) -> list[int]:
@@ -304,9 +303,9 @@ def count_product(
     return ProductCount(states, transitions, reached.get(0, 0), reduce(or_, reached.values(), 0))
 
 
-# Per left state, its arcs grouped by event: (event pair, the observer's
-# step row for the event, or None when the event is silent, target indexes).
-ArcGroup = tuple[EventPair, "list[int] | None", tuple[int, ...]]
+# Per left state, its arcs grouped by event: (event, the observer's step
+# row for the event, or None when the event is silent, target indexes).
+ArcGroup = tuple[str, "list[int] | None", tuple[int, ...]]
 
 
 class ProductSearch(NamedTuple):
@@ -316,7 +315,7 @@ class ProductSearch(NamedTuple):
     The state (left state i, estimate number e) has key ``e * n + i``,
     where n is the number of left states, so the collapsed states are
     exactly the keys below n.  ``parents`` maps each key discovered, in
-    discovery order, to the (key, event pair) it was first reached from,
+    discovery order, to the (key, event) it was first reached from,
     and each initial key to None.  ``collapsed`` lists the collapsed keys
     discovered, in discovery order.  Arcs are not stored: ``groups``
     gives them per left state.
@@ -324,7 +323,7 @@ class ProductSearch(NamedTuple):
 
     left: Automaton
     groups: list[list[ArcGroup]]
-    parents: dict[int, "tuple[int, EventPair] | None"]
+    parents: dict[int, "tuple[int, str] | None"]
     collapsed: list[int]
 
     def first_collapsed(self, within: int) -> "int | None":
@@ -358,26 +357,23 @@ def search_product(
     # group's targets and each state's groups come out in arc order.
     for (state, event), arcs_of_event in groupby(left.transitions, key=itemgetter(0, 1)):
         targets = tuple([index[t] for _, _, t in arcs_of_event])
-        if event in left.observable:
-            group = ((event, event), steps[event], targets)
-        else:
-            group = ((event, None), None, targets)
-        groups[index[state]].append(group)
+        row = steps[event] if event in left.observable else None
+        groups[index[state]].append((event, row, targets))
     order = [initial * n + index[x] for x in sorted(roots)]
-    parents: dict[int, "tuple[int, EventPair] | None"] = dict.fromkeys(order)
+    parents: dict[int, "tuple[int, str] | None"] = dict.fromkeys(order)
     collapsed = [key for key in order if key < n]
     search = ProductSearch(left, groups, parents, collapsed)
     if search.first_collapsed(stop) is not None:
         return search
     for key in order:  # order grows while it is walked
         estimate, state = divmod(key, n)
-        for pair, row, targets in groups[state]:
+        for event, row, targets in groups[state]:
             # Row entry 0 is 0, so the collapsed estimate stays collapsed.
             base = (estimate if row is None else row[estimate]) * n
             for target in targets:
                 dst = base + target
                 if dst not in parents:
-                    parents[dst] = (key, pair)
+                    parents[dst] = (key, event)
                     order.append(dst)
                     if dst < n:
                         collapsed.append(dst)
@@ -434,25 +430,22 @@ def product_graph(left: Automaton, observer: ObserverSearch) -> Graph:
     label = {key: cc_label(names[key % n], estimates[key // n]) for key in search.parents}
     # By left state, then by estimate rank, as one int.
     keys = sorted(search.parents, key=lambda key: key % n * len(order) + rank[key // n])
-    pairs = {}
-    for event in left.events:
-        pair = (event, event if event in left.observable else None)
-        pairs[pair] = pair_label(pair)
+    pairs = {event: pair_label(event, event in left.observable) for event in left.events}
     transitions = []
     for key in keys:
         estimate, x = divmod(key, n)
         source = label[key]
-        for pair, row, targets in search.groups[x]:
+        for event, row, targets in search.groups[x]:
             # Row entry 0 is 0, so the collapsed estimate stays collapsed.
             base = (estimate if row is None else row[estimate]) * n
             for target in targets:
-                transitions.append((source, pairs[pair], label[base + target]))
+                transitions.append((source, pairs[event], label[base + target]))
     secret = left.secret_states
     return Graph(
         "product",
         [(label[key], names[key % n] in secret) for key in keys],
         [label[key] for key, link in search.parents.items() if link is None],
-        [(text, pair[1] is not None) for pair, text in pairs.items()],
+        [(text, event in left.observable) for event, text in pairs.items()],
         transitions,
     )
 

@@ -56,7 +56,8 @@ class AutomatonDocument:
     secret: tuple[str, ...]
 
     def __post_init__(self):
-        if self.format_version != FORMAT_VERSION:
+        # A bool or a float can equal 1 and would write a header that parse rejects.
+        if type(self.format_version) is not int or self.format_version != FORMAT_VERSION:
             raise FormatError(f"unsupported format version {self.format_version}")
         groups = _checked(self.states, self.events, self.transitions, self.initial, self.secret)
         for field, group in zip(fields(self)[1:], groups):

@@ -119,14 +119,6 @@ class Automaton:
         )
 
     @cached_property
-    def non_secret_initials(self) -> frozenset[str]:
-        return self.initial_states - self.secret_states
-
-    @cached_property
-    def secret_initials(self) -> frozenset[str]:
-        return self.initial_states & self.secret_states
-
-    @cached_property
     def _core(self) -> "Automaton":
         """The non-secret core: this automaton with every arc into or out of
         a secret state dropped, started at the non-secret initial states.
@@ -135,7 +127,7 @@ class Automaton:
         sorted subsequence of this automaton's."""
         secret = self.secret_states
         kept = [arc for arc in self.transitions if arc[0] not in secret and arc[2] not in secret]
-        return replace(self, transitions=tuple(kept), initial_states=self.non_secret_initials)
+        return replace(self, transitions=tuple(kept), initial_states=self.initial_states - secret)
 
     @cached_property
     def _closed_images(self) -> "ClosedImages":

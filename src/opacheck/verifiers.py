@@ -2,15 +2,15 @@
 
 Each property has one shape: every run of one kind must have an
 observation-equivalent run of another kind.  ``_SPECS`` gives it as one
-row: the initial states the first kind's runs start from, whose runs the
-observer follows (the non-secret core's or the system's) and from which
-initial states, and whether a bad state must have a secret left state.
-The property fails exactly when the product of the system, started at
-the row's start, with the row's observer reaches a bad state: a
-collapsed estimate (for strong current-state opacity, with a secret left
-state).  Standard current-state opacity has no product: it is decided
-on the system's estimate automaton, where bad means an estimate inside
-the secret set.  A verdict's stats are the sizes of what its row names.
+row: the roots (all or the secret initial states) where the first kind's
+runs start, whose runs the observer follows (the non-secret core's or the
+system's), and whether a bad state must have a secret left state.  The
+property fails exactly when the product of the system, started at the
+roots, with the row's observer, started at the non-secret initial states,
+reaches a bad state: a collapsed estimate (for SCSO, with a secret left
+state).  Standard current-state opacity has no product: it is decided on
+the system's estimate automaton, where bad means an estimate inside the
+secret set.  A verdict's stats are the sizes of what its row names.
 :class:`Structures` builds each observer and product on first use, so
 properties decided together share it.
 
@@ -102,20 +102,19 @@ def verdict_record(verdict: Verdict) -> dict:
 
 
 class _Spec(NamedTuple):
-    """One property's row: its product, its observer and its bad test."""
+    """One property's row: its product's roots, its observer and its bad test."""
 
-    start: "str | None"  # g's attribute naming the product's left start; None for CSO
+    roots: "str | None"  # the product's left start: g's "all" or "secret" initial states; None for CSO
     core: bool  # the observer is that of the non-secret core, not of g
-    observed_from: str  # g's attribute naming the observer's initial states
     secret_only: bool  # a collapsed state is bad only when its left state is secret
 
 
 _SPECS = {
-    CSO: _Spec(None, False, "initial_states", False),
-    ISO: _Spec("secret_initials", False, "non_secret_initials", False),
-    SCSO: _Spec("initial_states", True, "non_secret_initials", True),
-    SISO: _Spec("secret_initials", True, "non_secret_initials", False),
-    INF_SSO: _Spec("initial_states", True, "non_secret_initials", False),
+    CSO: _Spec(None, False, False),
+    ISO: _Spec("secret", False, False),
+    SCSO: _Spec("all", True, True),
+    SISO: _Spec("secret", True, False),
+    INF_SSO: _Spec("all", True, False),
 }
 
 
@@ -123,10 +122,10 @@ class Structures:
     """The structures the properties are decided on, each built from the
     system ``g`` on first use and shared from then on.
 
-    The decider reads an observer search (:meth:`observer_search`) and a
-    row's product count (:meth:`count`) for sizes and verdicts, and walks
-    the row's product (:meth:`walk`) only as far as its first bad state,
-    for a witness.  The core's observer is searched on ``g._core``, the
+    The decider reads an observer search (:meth:`observer_search`), and
+    the count of a row's product with it (:meth:`count`) for sizes and
+    verdicts; it walks that product (:meth:`walk`) only as far as its
+    first bad state, for a witness.  The core's observer is searched on ``g._core``, the
     rest on g, ``Ĝ``'s products started at the secret initial states,
     since ``Ĝ`` keeps every arc out of the states it reaches.
     """
@@ -134,7 +133,7 @@ class Structures:
     def __init__(self, g: Automaton):
         self.g = g
         self._observers: dict[tuple[bool, int], ObserverSearch] = {}
-        # Keyed by a row's product, spec[:3]: SCSO and INF_SSO share theirs.
+        # Keyed by a row's product, spec[:2]: SCSO and INF_SSO share theirs.
         self._counts: dict[tuple, ProductCount] = {}
         self._walks: dict[tuple, ProductSearch] = {}
 
@@ -150,45 +149,47 @@ class Structures:
             self._observers[key] = search_observer(source, start)
         return self._observers[key]
 
-    def count(self, spec: _Spec) -> ProductCount:
-        key = spec[:3]
+    def count(self, spec: _Spec, obs: ObserverSearch) -> ProductCount:
+        key = spec[:2]
         if key not in self._counts:
-            self._counts[key] = count_product(*self._product(spec))
+            self._counts[key] = count_product(*self._product(spec, obs))
         return self._counts[key]
 
-    def walk(self, spec: _Spec, bad: int) -> ProductSearch:
-        """The row's product walked at least as far as its first state
-        whose left state is in the mask ``bad``: a walk of the product
+    def walk(self, spec: _Spec, obs: ObserverSearch, bad: int) -> ProductSearch:
+        """The row's product with ``obs`` walked at least as far as its first
+        state whose left state is in the mask ``bad``: a walk of the product
         that already got there, or a new one that stops there."""
-        search = self._walks.get(spec[:3])
+        search = self._walks.get(spec[:2])
         if search is None or search.first_collapsed(bad) is None:
-            search = self._walks[spec[:3]] = search_product(*self._product(spec), stop=bad)
+            search = self._walks[spec[:2]] = search_product(*self._product(spec, obs), stop=bad)
         return search
 
-    def _product(self, spec: _Spec) -> tuple:
+    def _product(self, spec: _Spec, obs: ObserverSearch) -> tuple:
         g = self.g
-        obs = self.observer_search(spec.core, getattr(g, spec.observed_from))
-        return g, getattr(g, spec.start), obs.initial, obs.steps
+        roots = g.initial_states & g.secret_states if spec.roots == "secret" else g.initial_states
+        return g, roots, obs.initial, obs.steps
 
 
 def _decide(structures: Structures, prop: str, witness: bool) -> Verdict:
     spec = _SPECS[prop]
     g = structures.g
     secret = g._closed_images.secret
-    observer = structures.observer_search(spec.core, getattr(g, spec.observed_from))
+    # CSO observes from all initial states, each product row from the non-secret ones.
+    observed_from = g.initial_states if spec.roots is None else g.initial_states - g.secret_states
+    observer = structures.observer_search(spec.core, observed_from)
     stats = {}
     if spec.core:
         # G_dss's states are those of the core's estimates, with their core arcs.
         stats["gdss_states"], stats["gdss_transitions"] = _extent(observer.masks, observer.source)
     found = None
-    if spec.start is None:
+    if spec.roots is None:
         stats["estimate_states"], stats["estimate_transitions"] = observer.size
         offending = observer.first_within(secret)
         if witness and offending is not None:
             found = _observation_witness(observer, offending)
         return Verdict(prop, offending is None, found, stats)
-    count = structures.count(spec)
-    if spec.start == "secret_initials":
+    count = structures.count(spec, observer)
+    if spec.roots == "secret":
         # ghat's states are the left states of this product, whatever the
         # observer, and ghat keeps every arc out of them.
         stats["ghat_states"], stats["ghat_transitions"] = _extent([count.left], g)
@@ -198,7 +199,7 @@ def _decide(structures: Structures, prop: str, witness: bool) -> Verdict:
     if spec.secret_only:
         bad &= secret  # every product's left automaton is g
     if witness and bad:
-        search = structures.walk(spec, bad)
+        search = structures.walk(spec, observer, bad)
         found = _product_witness(search, search.first_collapsed(bad))
     return Verdict(prop, not bad, found, stats)
 
@@ -250,13 +251,13 @@ def _tree_path(parents: "Mapping | Sequence", node: Hashable) -> tuple[Any, list
 
 def _product_witness(search: ProductSearch, key: int) -> Witness:
     """The path to the product state ``key`` in the breadth-first tree of
-    its walk: a shortest product path, ties broken by event-pair order.
+    its walk: a shortest product path, ties broken by event order.
     Only the offending state is labelled (bad product states are
     collapsed, so its estimate is the empty one)."""
     start, steps = _tree_path(search.parents, key)
-    events = tuple(pair[0] for pair, _ in steps)
-    observation = tuple(pair[1] for pair, _ in steps if pair[1] is not None)
-    run = Run(search.left_of(start), tuple((pair[0], search.left_of(dst)) for pair, dst in steps))
+    events = tuple(event for event, _ in steps)
+    observation = tuple(event for event in events if event in search.left.observable)
+    run = Run(search.left_of(start), tuple((event, search.left_of(dst)) for event, dst in steps))
     return Witness(events, observation, cc_label(run.end, subset_label(())), run)
 
 

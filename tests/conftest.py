@@ -343,7 +343,7 @@ def reference_graph(structure):
             sorted((label[q], e, label[t]) for (q, e), t in structure.transitions.items()),
         )
     label = {s: state_label(s) for s in structure.states}
-    pair = {p: pair_label(p) for p in structure.event_pairs}
+    pair = {p: pair_label(p[0], p[1] is not None) for p in structure.event_pairs}
     return Graph(
         "product",
         [(label[s], s.left in structure.left_secret) for s in structure.states],
@@ -393,11 +393,12 @@ def subset_tree(search):
 
 
 def product_tree(walk, observer):
-    """A whole product walk's breadth-first tree over CCStates, its
-    estimates numbered as in ``observer``."""
+    """A whole product walk's breadth-first tree over CCStates and event
+    pairs, its estimates numbered as in ``observer``."""
     n = len(walk.left.states)
     state = lambda key: CCState(walk.left_of(key), observer.subset(key // n) or None)
-    return {state(key): link and (state(link[0]), link[1]) for key, link in walk.parents.items()}
+    pair = lambda event: (event, event if event in walk.left.observable else None)
+    return {state(key): link and (state(link[0]), pair(link[1])) for key, link in walk.parents.items()}
 
 
 # --- tiny DOT grammar checker -------------------------------------------

@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -55,7 +57,7 @@ def witness_from_record(payload):
 
 
 def test_public_api():
-    """Every public name resolves, the version is 0.5.0, both in the
+    """Every public name resolves, the version is 0.6.0, both in the
     package and in pyproject.toml, and the labelled observer and product
     types of 0.1 are gone, as are the run helpers nothing in the library
     used, 0.2's product-state type and 0.3's export attributes of the
@@ -79,7 +81,7 @@ def test_public_api():
             assert not hasattr(cls, name), (cls.__name__, name)
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == opacheck.__version__
-    assert opacheck.__version__ == "0.5.0"
+    assert opacheck.__version__ == "0.6.0"
     for name in ("gdss", "ghat", "observer", "cc", "cc_hat", "_core_observer"):
         assert not hasattr(opacheck.verifiers.Structures, name), name
     for name in ("Graph", "build_gdss", "build_ghat", "observer_graph", "product_graph"):
@@ -323,6 +325,69 @@ class TestExport:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+
+class FullDisk(io.TextIOBase):
+    """A stdout on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize(
+    "stdout",
+    [FullDisk, lambda: io.TextIOWrapper(io.BytesIO(), encoding="ascii")],
+    ids=["full-disk", "ascii"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--witness"], ["export", "--structure", "cc"]],
+    ids=["check", "export"],
+)
+def test_failed_stdout_write_is_an_output_error(capsys, monkeypatch, tmp_path, stdout, argv):
+    """A write to stdout that fails, for want of space or of a character
+    in its encoding, ends in one error line and exit 2, not a traceback
+    and exit 1.  CSO fails here, and every output names the state é."""
+    path = tmp_path / "accent.aut"
+    lines = ["opacity-nfa 1", "state a", "state é", "event x obs", "init a", "secret é", "trans a x é"]
+    path.write_text("\n".join(lines) + "\n", "utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout())
+    code = main([argv[0], str(path), *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_command_fault_is_not_an_output_error(monkeypatch):
+    """Only a failed write to stdout is reported as one: an OSError
+    raised while a command computes propagates."""
+
+    def broken(instances):
+        raise OSError(errno.EIO, "not an output fault")
+
+    monkeypatch.setattr(opacheck.generate, "run_campaign", broken)
+    with pytest.raises(OSError, match="not an output fault"):
+        main(["fuzz", "--count", "1"])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_buffered_stdout_is_an_output_error():
+    """Run apart with a block-buffered stdout on a full device: what the
+    buffer still holds must not be flushed again, and fail again, at
+    interpreter exit, which would print a second error and exit 120."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "opacheck.cli", "check", str(fixture_path("siso_negative"))],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=30,
+            env=env,
+        )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
 
 
 class TestGen:

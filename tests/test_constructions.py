@@ -102,7 +102,7 @@ def observer_words(search, depth):
 
 def core_search(aut):
     """The non-secret core's observer search, as the verifiers run it."""
-    return Structures(aut).observer_search(True, aut.non_secret_initials)
+    return Structures(aut).observer_search(True, aut.initial_states - aut.secret_states)
 
 
 class TestBuildGdss:
@@ -143,7 +143,7 @@ class TestBuildGdss:
         for aut in random_instances(60):
             gdss = build_gdss(aut)
             allowed = set(aut.states) - set(aut.secret_states)
-            assert set(gdss.states) == bfs_states(aut, aut.non_secret_initials, allowed)
+            assert set(gdss.states) == bfs_states(aut, aut.initial_states - aut.secret_states, allowed)
 
     def test_states_are_nonsecret_and_witnessed(self):
         for aut in random_instances(30, max_states=5):
@@ -406,7 +406,7 @@ class TestBreadthFirstTree:
             structures = Structures(aut)
             for search in (
                 structures.observer_search(False, aut.initial_states),
-                structures.observer_search(True, aut.non_secret_initials),
+                structures.observer_search(True, aut.initial_states - aut.secret_states),
             ):
                 parents = dict(enumerate(search.parents))
                 del parents[0]  # the collapsed estimate is no state
@@ -429,7 +429,9 @@ class TestBreadthFirstTree:
                     product_tree(walk, obs),
                     [cc_state(label) for label, _ in cc.states],
                     [cc_state(label) for label in cc.initial],
-                    lambda src, pair, dst: (state_label(src), pair_label(pair), state_label(dst)) in arcs,
+                    lambda src, pair, dst: (
+                        (state_label(src), pair_label(pair[0], pair[1] is not None), state_label(dst)) in arcs
+                    ),
                 )
 
 
@@ -445,10 +447,11 @@ def assert_matches_reference(aut):
     the three structures export renders."""
     structures = Structures(aut)
     gdss, ghat = build_gdss(aut), build_ghat(aut)
-    restarted = replace(aut, initial_states=aut.non_secret_initials)
-    core = structures.observer_search(True, aut.non_secret_initials)
+    plain = aut.initial_states - aut.secret_states
+    restarted = replace(aut, initial_states=plain)
+    core = structures.observer_search(True, plain)
     estimates = structures.observer_search(False, aut.initial_states)
-    iso_observer = structures.observer_search(False, aut.non_secret_initials)
+    iso_observer = structures.observer_search(False, plain)
     expected = {source: reference_observer(source) for source in (aut, gdss, ghat, restarted)}
     searched = [(source, search_observer(source)) for source in expected]
     for source, search in [*searched, (aut, estimates), (restarted, iso_observer), (gdss, core)]:
@@ -580,8 +583,9 @@ def assert_count_matches_walk(aut):
     same products on ghat."""
     structures = Structures(aut)
     ghat = build_ghat(aut)
-    core = structures.observer_search(True, aut.non_secret_initials)
-    iso_observer = structures.observer_search(False, aut.non_secret_initials)
+    plain = aut.initial_states - aut.secret_states
+    core = structures.observer_search(True, plain)
+    iso_observer = structures.observer_search(False, plain)
     estimates = structures.observer_search(False, aut.initial_states)
     for left, obs in ((aut, core), (ghat, core), (ghat, iso_observer), (aut, estimates)):
         count = count_product(left, left.initial_states, obs.initial, obs.steps)
@@ -668,10 +672,11 @@ class TestCountMatchesWalk:
         # The search runs on the system's alphabet; the exported observer
         # keeps only the events the core steps on.
         assert build_structure(aut, "observer").events == [("a", True)]
-        assert not any(structures.observer_search(True, aut.non_secret_initials).steps["b"])
+        core = structures.observer_search(True, aut.initial_states - aut.secret_states)
+        assert not any(core.steps["b"])
         assert build_structure(aut, "ghat").states == ()
-        assert structures.count(_SPECS["SCSO"]).collapsed == 1 << aut.states.index("s")
-        assert structures.count(_SPECS["SISO"]) == (0, 0, 0, 0)
+        assert structures.count(_SPECS["SCSO"], core).collapsed == 1 << aut.states.index("s")
+        assert structures.count(_SPECS["SISO"], core) == (0, 0, 0, 0)
         assert_count_matches_walk(aut)
 
 

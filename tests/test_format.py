@@ -173,6 +173,13 @@ class TestDocument:
         with pytest.raises(FormatError):
             AutomatonDocument(2, ("a",), (), (), (), ())
 
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
+    def test_version_is_the_int_one(self, version):
+        # Both compare equal to 1, but serialize would write a header
+        # that parse rejects.
+        with pytest.raises(FormatError, match="unsupported format version"):
+            AutomatonDocument(version, ("a",), (), (), ("a",), ())
+
     @pytest.mark.parametrize(
         "states,events,transitions,initial,error",
         [

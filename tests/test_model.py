@@ -1,4 +1,5 @@
 import warnings
+from functools import cached_property
 
 import pytest
 
@@ -77,13 +78,13 @@ class TestValidate:
         assert set(cso_not_scso.events) - cso_not_scso.observable == {"u"}
         assert cso_not_scso.initial_states == frozenset({"x0"})
         assert cso_not_scso.secret_states == frozenset({"x4", "x5"})
-        assert cso_not_scso.non_secret_initials == frozenset({"x0"})
+        assert cso_not_scso.initial_states - cso_not_scso.secret_states == frozenset({"x0"})
 
     def test_minimal_single_state(self):
         aut = validate(states=["q"], events=[], transitions=[], initial_states=["q"])
         assert aut.states == ("q",)
         assert aut.events == ()
-        assert aut.non_secret_initials == frozenset({"q"})
+        assert aut.initial_states - aut.secret_states == frozenset({"q"})
 
     def test_unreachable_state_pruned_with_warning(self):
         with pytest.warns(PrunedStatesWarning) as caught:
@@ -181,7 +182,7 @@ class TestUnobservableReach:
             secret = aut.secret_states
             kept = [(s, e, t) for s, e, t in aut.transitions if s not in secret and t not in secret]
             assert core.transitions == tuple(kept)
-            assert core.initial_states == aut.non_secret_initials
+            assert core.initial_states == aut.initial_states - aut.secret_states
             for source in (aut, core):
                 tables = source._closed_images
                 closures, images, degree = naive_tables(source)
@@ -205,6 +206,14 @@ class TestUnobservableReach:
             assert small <= reach_small  # extensive
             assert reach_small <= reach_large  # monotone
             assert silent_reach(aut, reach_small) == reach_small  # idempotent
+
+
+def test_only_the_search_tables_are_cached():
+    # Everything else an Automaton answers is computed from its six
+    # fields where it is used; the two cached members are the tables the
+    # searches read.
+    cached = {name for name, member in vars(Automaton).items() if isinstance(member, cached_property)}
+    assert cached == {"_core", "_closed_images"}
 
 
 class TestProject:

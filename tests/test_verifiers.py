@@ -266,6 +266,56 @@ def test_copying_a_state_keeps_verdicts():
                 assert replay_witness(copied, after[prop].witness, prop) is True
 
 
+def merged_silent_sccs(aut):
+    """``aut`` with each strongly connected component of its silent arcs
+    between states of the same secret flag merged into its least-named
+    state, and the silent self-loops this makes dropped."""
+    secret = aut.secret_states
+    silent = {x: [] for x in aut.states}
+    for s, e, t in aut.transitions:
+        if e not in aut.observable and (s in secret) == (t in secret):
+            silent[s].append(t)
+    reach = {}
+    for x in aut.states:
+        seen, frontier = {x}, [x]
+        while frontier:
+            for t in silent[frontier.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    frontier.append(t)
+        reach[x] = seen
+    # aut.states is sorted, so the first member found is the least-named.
+    rep = {x: next(y for y in aut.states if y in reach[x] and x in reach[y]) for x in aut.states}
+    # A silent arc between two members of one component becomes a loop.
+    made_loop = lambda s, e, t: s != t and rep[s] == rep[t] and e not in aut.observable
+    return Automaton.build(
+        states=rep.values(),
+        events=aut.events,
+        observable=aut.observable,
+        transitions=[(rep[s], e, rep[t]) for s, e, t in aut.transitions if not made_loop(s, e, t)],
+        initial_states=[rep[x] for x in aut.initial_states],
+        secret_states=[rep[x] for x in secret],
+    )
+
+
+def test_merging_silent_sccs_keeps_verdicts():
+    """Inside a merged component, each state reaches each other by silent
+    moves through states of its own flag, so a run of either automaton
+    maps to a run of the other with the same observation and the same
+    secret visits, and no verdict may change; every witness of the merged
+    automaton replays.  Sizes may shrink, so they are not compared."""
+    merged_any = False
+    for aut in (*random_instances(300), *larger_instances(), *chain_instances()):
+        merged = merged_silent_sccs(aut)
+        merged_any |= merged != aut
+        before, after = check_all(aut), check_all(merged, witness=True)
+        for prop in PROPERTIES:
+            assert after[prop].holds == before[prop].holds, prop
+            if not after[prop].holds:
+                assert replay_witness(merged, after[prop].witness, prop) is True
+    assert merged_any
+
+
 def test_verdicts_are_deterministic():
     for name in FIXTURE_NAMES:
         records = []
@@ -313,7 +363,7 @@ def test_incomparability_witnessed_by_fixtures(iso_not_siso, siso_not_scso):
 def reference_structures(g):
     gdss, ghat = build_gdss(g), build_ghat(g)
     observer = reference_observer(gdss)
-    iso_observer = reference_observer(replace(g, initial_states=g.non_secret_initials))
+    iso_observer = reference_observer(replace(g, initial_states=g.initial_states - g.secret_states))
     return {
         "gdss": gdss,
         "ghat": ghat,
@@ -489,11 +539,12 @@ def test_iso_observer_is_the_estimates_when_the_starts_close_alike():
     for aut in automata:
         structures = Structures(aut)
         tables = aut._closed_images
-        alike = tables.closure(aut.non_secret_initials) == tables.closure(aut.initial_states)
-        iso_observer = structures.observer_search(False, aut.non_secret_initials)
+        plain = aut.initial_states - aut.secret_states
+        alike = tables.closure(plain) == tables.closure(aut.initial_states)
+        iso_observer = structures.observer_search(False, plain)
         assert (iso_observer is structures.observer_search(False, aut.initial_states)) is alike
         shared += alike
-        again = search_observer(replace(aut, initial_states=aut.non_secret_initials))
+        again = search_observer(replace(aut, initial_states=plain))
         assert (iso_observer.masks, iso_observer.steps) == (again.masks, again.steps)
         assert iso_observer.parents == again.parents
     assert 0 < shared < len(automata)
