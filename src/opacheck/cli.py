@@ -19,7 +19,13 @@ from .fileformat import document_of, export_dot, load, serialize
 from .model import AutomatonWarning, ValidationError
 from .verifiers import PROPERTIES, check_all, verdict_record
 
-_PROPERTY_TOKENS = {p.lower().replace("_", "-"): p for p in PROPERTIES}
+
+def _token(name: str) -> str:
+    """The command-line token of a property name, in any case."""
+    return name.lower().replace("_", "-")
+
+
+_PROPERTY_TOKENS = {_token(p): p for p in PROPERTIES}
 _TOKEN_ORDER = tuple(_PROPERTY_TOKENS)
 
 
@@ -85,13 +91,13 @@ def _human_verdict(verdict) -> str:
 def cmd_check(args) -> int:
     tokens = [t.strip() for t in args.property.split(",") if t.strip()]
     for token in tokens:
-        if token not in _PROPERTY_TOKENS:
+        if _token(token) not in _PROPERTY_TOKENS:
             print(f"error: unknown property {token!r}", file=sys.stderr)
             return 2
     if not tokens:
         print("error: no property selected", file=sys.stderr)
         return 2
-    selected = [_PROPERTY_TOKENS[t] for t in _TOKEN_ORDER if t in tokens]
+    selected = sorted({_PROPERTY_TOKENS[_token(t)] for t in tokens}, key=PROPERTIES.index)
     try:
         aut = _load_automaton(args.file)
     except (OSError, ValidationError) as exc:

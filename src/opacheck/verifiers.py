@@ -1,46 +1,42 @@
 """Deciders for the five opacity properties, with witness extraction.
 
 Each property has one shape: every run of one kind must have an
-observation-equivalent run of another kind.  ``_SPECS`` gives it as one
-row: the roots (all or the secret initial states) where the first kind's
-runs start, whose runs the observer follows (the non-secret core's or the
-system's), and whether a bad state must have a secret left state.  The
-property fails exactly when the product of the system, started at the
-roots, with the row's observer, started at the non-secret initial states,
+observation-equivalent run of another kind.  Standard current-state
+opacity has no product: it is decided on the system's estimate
+automaton, where bad means an estimate inside the secret set.  Each
+other property is a row of ``_SPECS``, decided on a product of the
+system g, started at all or at the secret initial states, with an
+observer, the non-secret core's or the system's, started at the
+non-secret initial states.  The row fails exactly when the product
 reaches a bad state: a collapsed estimate (for SCSO, with a secret left
-state).  Standard current-state opacity has no product: it is decided on
-the system's estimate automaton, where bad means an estimate inside the
-secret set.  A verdict's stats are the sizes of what its row names.
-:class:`Structures` builds each observer and product on first use, so
-properties decided together share it.
+state).  A verdict's stats are the sizes of what its row names.
 
-The decider reads only the system g and its non-secret core
-``g._core``, a view that shares g's states and needs no sort, through
-their closure tables, with the int-keyed searches of
-:mod:`~opacheck.constructions`: estimates are bit masks, product states
-are ints, and no automaton but these two and no labelled structure is
-built.  A product is decided by its count, which gives its exact sizes
-and the mask of its collapsed states; it is walked breadth-first only
-when a witness is asked for and a bad state exists, and the walk stops
-at the first bad state in discovery order, whose tree path is a
-shortest witness.  SCSO and INF_SSO share one walk of the same product: every
-SCSO-bad state is INF_SSO-bad and SCSO is decided first, so its walk
-holds INF_SSO's first bad state.  A CSO witness's run is read off the
-walk of g with the automaton of its observation.  A witness labels only
-its offending state: ``(x5,{})``, x5 the run's end, or for CSO the
-estimate, ``{x2}``.
+The decider reads only g and its non-secret core ``g._core``, a view
+that shares g's states and needs no sort, through their closure tables,
+with the int-keyed searches of :mod:`~opacheck.constructions`: estimates
+are bit masks, product states are ints, and no automaton but these two
+and no labelled structure is built.  It decides by product, not by
+property: the rows on one product (SCSO and INF_SSO share theirs) get
+one count, which gives its exact sizes and the mask of its collapsed
+states, and at most one breadth-first walk, only when a witness is asked
+for and some row fails.  The walk stops at the first state bad for
+every failing row.  A stopped walk is a prefix of the whole walk, so
+each row's first bad state in it is the one it has alone, and its tree
+path is a shortest witness.  A CSO witness's run is read off the walk
+of g with the automaton of its observation.  A witness labels only its
+offending state: ``(x5,{})``, x5 the run's end, or for CSO the estimate,
+``{x2}``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 from typing import Any, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .constructions import (
     ObserverSearch,
-    ProductCount,
     ProductSearch,
     _bits,
     cc_label,
@@ -102,40 +98,29 @@ def verdict_record(verdict: Verdict) -> dict:
 
 
 class _Spec(NamedTuple):
-    """One property's row: its product's roots, its observer and its bad test."""
+    """One product property's row: the product it is decided on and its bad test."""
 
-    roots: "str | None"  # the product's left start: g's "all" or "secret" initial states; None for CSO
+    secret_roots: bool  # the product starts at g's secret initial states, not at all of them
     core: bool  # the observer is that of the non-secret core, not of g
     secret_only: bool  # a collapsed state is bad only when its left state is secret
 
 
 _SPECS = {
-    CSO: _Spec(None, False, False),
-    ISO: _Spec("secret", False, False),
-    SCSO: _Spec("all", True, True),
-    SISO: _Spec("secret", True, False),
-    INF_SSO: _Spec("all", True, False),
+    ISO: _Spec(True, False, False),
+    SCSO: _Spec(False, True, True),
+    SISO: _Spec(True, True, False),
+    INF_SSO: _Spec(False, True, False),
 }
 
 
 class Structures:
-    """The structures the properties are decided on, each built from the
-    system ``g`` on first use and shared from then on.
-
-    The decider reads an observer search (:meth:`observer_search`), and
-    the count of a row's product with it (:meth:`count`) for sizes and
-    verdicts; it walks that product (:meth:`walk`) only as far as its
-    first bad state, for a witness.  The core's observer is searched on ``g._core``, the
-    rest on g, ``Ĝ``'s products started at the secret initial states,
-    since ``Ĝ`` keeps every arc out of the states it reaches.
-    """
+    """The observers the properties are decided on, each searched on first
+    use, on ``g._core`` for the core's and on the system ``g`` for the
+    rest, and shared from then on."""
 
     def __init__(self, g: Automaton):
         self.g = g
         self._observers: dict[tuple[bool, int], ObserverSearch] = {}
-        # Keyed by a row's product, spec[:2]: SCSO and INF_SSO share theirs.
-        self._counts: dict[tuple, ProductCount] = {}
-        self._walks: dict[tuple, ProductSearch] = {}
 
     def observer_search(self, core: bool, start: Iterable[str]) -> ObserverSearch:
         """The observer of the non-secret core ``g._core`` (``core``) or of
@@ -149,59 +134,49 @@ class Structures:
             self._observers[key] = search_observer(source, start)
         return self._observers[key]
 
-    def count(self, spec: _Spec, obs: ObserverSearch) -> ProductCount:
-        key = spec[:2]
-        if key not in self._counts:
-            self._counts[key] = count_product(*self._product(spec, obs))
-        return self._counts[key]
 
-    def walk(self, spec: _Spec, obs: ObserverSearch, bad: int) -> ProductSearch:
-        """The row's product with ``obs`` walked at least as far as its first
-        state whose left state is in the mask ``bad``: a walk of the product
-        that already got there, or a new one that stops there."""
-        search = self._walks.get(spec[:2])
-        if search is None or search.first_collapsed(bad) is None:
-            search = self._walks[spec[:2]] = search_product(*self._product(spec, obs), stop=bad)
-        return search
-
-    def _product(self, spec: _Spec, obs: ObserverSearch) -> tuple:
-        g = self.g
-        roots = g.initial_states & g.secret_states if spec.roots == "secret" else g.initial_states
-        return g, roots, obs.initial, obs.steps
+def _decide_cso(structures: Structures, witness: bool) -> Verdict:
+    """CSO, decided on the estimate automaton of g."""
+    observer = structures.observer_search(False, structures.g.initial_states)
+    offending = observer.first_within(structures.g._closed_images.secret)
+    found = _observation_witness(observer, offending) if witness and offending is not None else None
+    stats = dict(zip(("estimate_states", "estimate_transitions"), observer.size))
+    return Verdict(CSO, offending is None, found, stats)
 
 
-def _decide(structures: Structures, prop: str, witness: bool) -> Verdict:
-    spec = _SPECS[prop]
+def _decide_product(
+    structures: Structures, secret_roots: bool, core: bool, rows: Iterable[str], witness: bool
+) -> dict[str, Verdict]:
+    """The properties ``rows``, all decided on one product: g, started at
+    its secret initial states (``secret_roots``) or at all of them, with
+    the core's observer (``core``) or g's, started at the non-secret
+    initial states."""
     g = structures.g
     secret = g._closed_images.secret
-    # CSO observes from all initial states, each product row from the non-secret ones.
-    observed_from = g.initial_states if spec.roots is None else g.initial_states - g.secret_states
-    observer = structures.observer_search(spec.core, observed_from)
+    observer = structures.observer_search(core, g.initial_states - g.secret_states)
+    roots = g.initial_states & g.secret_states if secret_roots else g.initial_states
+    product = (g, roots, observer.initial, observer.steps)
+    count = count_product(*product)
     stats = {}
-    if spec.core:
+    if core:
         # G_dss's states are those of the core's estimates, with their core arcs.
         stats["gdss_states"], stats["gdss_transitions"] = _extent(observer.masks, observer.source)
-    found = None
-    if spec.roots is None:
-        stats["estimate_states"], stats["estimate_transitions"] = observer.size
-        offending = observer.first_within(secret)
-        if witness and offending is not None:
-            found = _observation_witness(observer, offending)
-        return Verdict(prop, offending is None, found, stats)
-    count = structures.count(spec, observer)
-    if spec.roots == "secret":
+    if secret_roots:
         # ghat's states are the left states of this product, whatever the
         # observer, and ghat keeps every arc out of them.
         stats["ghat_states"], stats["ghat_transitions"] = _extent([count.left], g)
     stats["observer_states"], stats["observer_transitions"] = observer.size
     stats["product_states"], stats["product_transitions"] = count.size
-    bad = count.collapsed  # left states of the collapsed product states
-    if spec.secret_only:
-        bad &= secret  # every product's left automaton is g
-    if witness and bad:
-        search = structures.walk(spec, observer, bad)
-        found = _product_witness(search, search.first_collapsed(bad))
-    return Verdict(prop, not bad, found, stats)
+    # left states of the collapsed product states; every product's left automaton is g
+    bad = {prop: count.collapsed & secret if _SPECS[prop].secret_only else count.collapsed for prop in rows}
+    failing = [mask for mask in bad.values() if mask]
+    # A walk stopped at a state bad for every failing row holds each row's first bad state.
+    search = search_product(*product, stop=reduce(and_, failing)) if witness and failing else None
+    verdicts = {}
+    for prop, mask in bad.items():
+        found = _product_witness(search, search.first_collapsed(mask)) if search and mask else None
+        verdicts[prop] = Verdict(prop, not mask, found, dict(stats))
+    return verdicts
 
 
 def _extent(masks: Iterable[int], aut: Automaton) -> tuple[int, int]:
@@ -218,17 +193,22 @@ def check_all(
     """Decide ``properties`` (all five by default), sharing the
     constructed structures between them; the verdicts come in the order
     given.  Raises ValueError for an unknown property, or for
-    ``properties`` given as one string, before deciding any.  They are
-    decided in ``PROPERTIES`` order, so SCSO's walk, which holds
-    INF_SSO's first bad state, serves both."""
+    ``properties`` given as one string, before deciding any.  The rows
+    on one product are decided together, so SCSO and INF_SSO share its
+    count and its walk."""
     if isinstance(properties, str):  # it would split into one-letter names
         raise ValueError(f"bad properties {properties!r}: must be a collection of names, not a string")
     properties = list(properties)
+    products: dict[tuple[bool, bool], list[str]] = {}  # the rows on each product
     for prop in properties:
-        if prop not in _SPECS:
+        if prop not in PROPERTIES:
             raise ValueError(f"unknown property: {prop!r}")
+        if prop != CSO:
+            products.setdefault(_SPECS[prop][:2], []).append(prop)
     structures = Structures(g)
-    verdicts = {prop: _decide(structures, prop, witness) for prop in PROPERTIES if prop in properties}
+    verdicts = {CSO: _decide_cso(structures, witness)} if CSO in properties else {}
+    for (secret_roots, core), rows in products.items():
+        verdicts.update(_decide_product(structures, secret_roots, core, rows, witness))
     return {prop: verdicts[prop] for prop in properties}
 
 

@@ -82,7 +82,7 @@ def test_public_api():
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == opacheck.__version__
     assert opacheck.__version__ == "0.6.0"
-    for name in ("gdss", "ghat", "observer", "cc", "cc_hat", "_core_observer"):
+    for name in ("gdss", "ghat", "observer", "cc", "cc_hat", "_core_observer", "count", "walk", "_product"):
         assert not hasattr(opacheck.verifiers.Structures, name), name
     for name in ("Graph", "build_gdss", "build_ghat", "observer_graph", "product_graph"):
         assert not hasattr(opacheck.verifiers, name), name
@@ -210,6 +210,22 @@ class TestCheck:
         assert code == 1
         golden = (GOLDEN / "check_cso_but_not_scso.jsonl").read_text().splitlines(keepends=True)
         assert out == golden[2]
+
+    @pytest.mark.parametrize("name, prop", [("SCSO", "SCSO"), ("INF_SSO", "INF_SSO"), ("inf_sso", "INF_SSO")])
+    def test_property_names_as_printed_are_accepted(self, capsys, name, prop):
+        code, out, err = run_cli(
+            capsys,
+            "check",
+            str(fixture_path("cso_but_not_scso")),
+            "--property",
+            name,
+            "--witness",
+            "--output",
+            "machine",
+        )
+        assert (code, err) == (1, "")
+        golden = (GOLDEN / "check_cso_but_not_scso.jsonl").read_text().splitlines(keepends=True)
+        assert out == next(line for line in golden if json.loads(line)["property"] == prop)
 
     def test_missing_file_is_an_input_error(self, capsys):
         code, _, err = run_cli(capsys, "check", "nonexistent.aut")

@@ -20,7 +20,7 @@ from opacheck.constructions import (
     search_product,
 )
 from opacheck.model import AllStatesSecretWarning
-from opacheck.verifiers import _SPECS, Structures, check_all
+from opacheck.verifiers import Structures, check_all
 
 from conftest import (
     CCState,
@@ -675,8 +675,8 @@ class TestCountMatchesWalk:
         core = structures.observer_search(True, aut.initial_states - aut.secret_states)
         assert not any(core.steps["b"])
         assert build_structure(aut, "ghat").states == ()
-        assert structures.count(_SPECS["SCSO"], core).collapsed == 1 << aut.states.index("s")
-        assert structures.count(_SPECS["SISO"], core) == (0, 0, 0, 0)
+        assert count_product(aut, aut.initial_states, core.initial, core.steps).collapsed == 1 << aut.states.index("s")
+        assert count_product(aut, aut.initial_states & aut.secret_states, core.initial, core.steps) == (0, 0, 0, 0)
         assert_count_matches_walk(aut)
 
 

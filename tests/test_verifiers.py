@@ -684,6 +684,7 @@ def test_verdicts_come_in_the_order_given():
         PROPERTIES[2:] + PROPERTIES[:2],
         ("INF_SSO", "CSO"),
         ("SISO", "SCSO", "ISO"),
+        *((prop,) for prop in PROPERTIES),
     ]
     for aut in [*map(load_fixture, FIXTURE_NAMES), *random_instances(200)]:
         records = {p: verdict_record(v) for p, v in check_all(aut, witness=True).items()}
