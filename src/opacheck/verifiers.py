@@ -174,7 +174,7 @@ def _decide_product(
     search = search_product(*product, stop=reduce(and_, failing)) if witness and failing else None
     verdicts = {}
     for prop, mask in bad.items():
-        found = _product_witness(search, search.first_collapsed(mask)) if search and mask else None
+        found = _product_witness(search, search.first_collapsed(mask)) if witness and mask else None
         verdicts[prop] = Verdict(prop, not mask, found, dict(stats))
     return verdicts
 

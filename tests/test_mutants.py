@@ -3,7 +3,7 @@
 Each mutant is a context manager that patches one thing: a field of a
 property's row in ``_SPECS``, or one rule, recompiled from its source
 with one fragment replaced (the silent closure, the non-secret core, the
-CSO witness's estimate).  Each names the gate that must kill it: the
+CSO witness's estimate, the stop of a product's shared walk).  Each names the gate that must kill it: the
 fuzz campaign against the oracles, or a named tier-1 test run in-process
 on the patched modules.  A mutant whose target no longer exists fails
 its test, so a refactor ports the table instead of dropping a row.
@@ -85,7 +85,8 @@ MUTANTS = {
 
 
 def killed(gate):
-    """Whether ``gate`` fails on the code as it is now patched."""
+    """Whether ``gate`` fails on the code as it is now patched: a campaign
+    that reports a fault or crashes, or a test that fails."""
     if gate == CAMPAIGN:
         try:
             return not run_campaign(fuzz_instances(2000, 8, 7)).ok
