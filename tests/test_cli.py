@@ -415,6 +415,18 @@ class TestGen:
             outputs.append(out)
         assert outputs[0] == outputs[1]
 
+    def test_stdout_matches_golden_digests(self, capsys):
+        """sha256 of stdout and the exit code of each recorded set of
+        arguments, one line each: the arguments, the code, the digest."""
+        lines = []
+        for line in (GOLDEN / "gen.sha256").read_text().splitlines():
+            argv = line.split()[:-2]
+            code, out, _ = run_cli(capsys, "gen", *argv)
+            digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+            lines.append(f"{' '.join(argv)} {code} {digest}\n")
+        assert len(lines) == 11
+        assert "".join(lines) == (GOLDEN / "gen.sha256").read_text()
+
     def test_zero_secret_ratio_yields_no_secret_states(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "--secret-ratio", "0", "--seed", "3")
         assert code == 0
@@ -480,3 +492,16 @@ class TestFuzz:
     def test_bad_parameters(self, capsys):
         code, _, _ = run_cli(capsys, "fuzz", "--count", "-1")
         assert code == 2
+
+    def test_campaign_output_matches_golden_file(self, capsys):
+        code, out, _ = run_cli(capsys, "fuzz", "--count", "200", "--max-states", "6", "--seed", "5")
+        assert code == 0
+        assert out == (GOLDEN / "fuzz_count200_max6_seed5.txt").read_text()
+
+    def test_discrepancy_lines_match_golden_file(self, capsys, monkeypatch):
+        """With an oracle that calls CSO opaque everywhere, each instance
+        where CSO fails is listed, in order, under the counts."""
+        monkeypatch.setitem(opacheck.generate._ORACLES, "CSO", lambda aut: True)
+        code, out, _ = run_cli(capsys, "fuzz", "--count", "20", "--seed", "5")
+        assert code == 1
+        assert out == (GOLDEN / "fuzz_count20_seed5_cso_oracle_true.txt").read_text()
