@@ -2,7 +2,8 @@
 
 Exit codes: 0 when everything requested holds (or, for fuzz, when there
 are no discrepancies), 1 when a checked property fails or the campaign
-found a disagreement, 2 for input or parameter errors.
+found a disagreement, 2 for input or parameter errors.  Each command
+returns its exit code and its stdout text, and :func:`main` writes it.
 """
 
 from __future__ import annotations
@@ -38,19 +39,6 @@ def _load_automaton(path):
     return aut
 
 
-class _OutputError(Exception):
-    """Writing or flushing stdout failed."""
-
-
-def _print(text: str = "", end: str = "\n", flush: bool = False) -> None:
-    """``print(text)`` to stdout, raising _OutputError when that fails:
-    stdout is full or closed, or its encoding lacks a character."""
-    try:
-        print(text, end=end, flush=flush)
-    except (OSError, UnicodeEncodeError) as exc:
-        raise _OutputError(exc) from exc
-
-
 def _drop_stdout() -> None:
     """Point stdout's descriptor at the null device, so that what its
     buffer still holds is not flushed, and does not fail again, at exit.
@@ -64,18 +52,18 @@ def _drop_stdout() -> None:
     os.close(devnull)
 
 
-def _write(payload: bytes, out) -> int:
-    """Write ``payload`` to the file ``out``, or to stdout when it is None."""
+def _write(payload: bytes, out) -> tuple[int, str]:
+    """Write ``payload`` to the file ``out``; when it is None, return
+    ``payload`` as the text for stdout."""
     if out is None:
-        _print(payload.decode("utf-8"), end="")
-        return 0
+        return 0, payload.decode("utf-8")
     try:
         with open(out, "wb") as handle:
             handle.write(payload)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        return 2, ""
+    return 0, ""
 
 
 def _human_verdict(verdict) -> str:
@@ -88,33 +76,31 @@ def _human_verdict(verdict) -> str:
     return "\n".join(lines)
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[int, str]:
     tokens = [t.strip() for t in args.property.split(",") if t.strip()]
     for token in tokens:
         if _token(token) not in _PROPERTY_TOKENS:
             print(f"error: unknown property {token!r}", file=sys.stderr)
-            return 2
+            return 2, ""
     if not tokens:
         print("error: no property selected", file=sys.stderr)
-        return 2
+        return 2, ""
     selected = sorted({_PROPERTY_TOKENS[_token(t)] for t in tokens}, key=PROPERTIES.index)
     try:
         aut = _load_automaton(args.file)
     except (OSError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2, ""
 
-    all_hold = True
-    for verdict in check_all(aut, witness=args.witness, properties=selected).values():
-        all_hold &= verdict.holds
-        if args.output == "machine":
-            _print(json.dumps(verdict_record(verdict), sort_keys=True))
-        else:
-            _print(_human_verdict(verdict))
-    return 0 if all_hold else 1
+    verdicts = check_all(aut, witness=args.witness, properties=selected).values()
+    if args.output == "machine":
+        lines = [json.dumps(verdict_record(verdict), sort_keys=True) for verdict in verdicts]
+    else:
+        lines = [_human_verdict(verdict) for verdict in verdicts]
+    return (0 if all(verdict.holds for verdict in verdicts) else 1), "\n".join(lines) + "\n"
 
 
-def cmd_export(args) -> int:
+def cmd_export(args) -> tuple[int, str]:
     try:
         aut = _load_automaton(args.file)
         structure = build_structure(aut, args.structure)
@@ -126,11 +112,11 @@ def cmd_export(args) -> int:
             payload = serialize(document_of(structure))
     except (OSError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2, ""
     return _write(payload, args.out)
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> tuple[int, str]:
     try:
         aut = generate.random_automaton(
             seed=args.seed,
@@ -142,27 +128,25 @@ def cmd_gen(args) -> int:
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2, ""
     payload = serialize(document_of(aut))
     return _write(payload, args.out)
 
 
-def cmd_fuzz(args) -> int:
+def cmd_fuzz(args) -> tuple[int, str]:
     if args.count < 0 or args.max_states < 1:
         print("error: count must be >= 0 and max-states >= 1", file=sys.stderr)
-        return 2
+        return 2, ""
     report = generate.run_campaign(
         generate.fuzz_instances(args.count, args.max_states, args.seed)
     )
-    _print(f"instances: {report.count}")
-    _print(f"{'property':<10} {'holds':>8} {'fails':>8}")
+    lines = [f"instances: {report.count}", f"{'property':<10} {'holds':>8} {'fails':>8}"]
     for prop in PROPERTIES:
-        _print(f"{prop:<10} {report.holds[prop]:>8} {report.fails[prop]:>8}")
+        lines.append(f"{prop:<10} {report.holds[prop]:>8} {report.fails[prop]:>8}")
     problems = report.discrepancies + report.implication_violations + report.witness_failures
-    _print(f"discrepancies: {len(problems)}")
-    for line in problems:
-        _print(f"  {line}")
-    return 0 if report.ok else 1
+    lines.append(f"discrepancies: {len(problems)}")
+    lines += (f"  {line}" for line in problems)
+    return (0 if report.ok else 1), "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,11 +200,12 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    code, text = args.fn(args)
     try:
-        code = args.fn(args)
         # Flushed here, so that a failed write shows now, not at exit.
-        _print(end="", flush=True)
-    except _OutputError as exc:
+        print(text, end="", flush=True)
+    except (OSError, UnicodeEncodeError) as exc:
+        # Stdout is full or closed, or its encoding lacks a character.
         _drop_stdout()
         print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 2
