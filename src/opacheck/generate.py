@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import oracle as oracle_mod
-from .model import Automaton, AutomatonWarning, validate
+from .model import Automaton
 from .verifiers import PROPERTIES, Verdict, check_all
 
 
@@ -22,7 +21,7 @@ def random_automaton(
     secret_ratio: float = 0.2,
     density: float = 1.5,
 ) -> Automaton:
-    """Generate a random automaton that always passes validation.
+    """Generate a random automaton that is valid by construction.
 
     Accessibility is guaranteed by construction: a random spanning tree
     rooted at the initial states is laid down first, then ``density * n``
@@ -65,15 +64,7 @@ def random_automaton(
             break
         transitions.add((rng.choice(states), rng.choice(events), rng.choice(states)))
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AutomatonWarning)
-        return validate(
-            states=states,
-            events=[(e, e in observable) for e in events],
-            transitions=sorted(transitions),
-            initial_states=initial,
-            secret_states=sorted(secret),
-        )
+    return Automaton.build(states, events, observable, transitions, initial, secret)
 
 
 # Ratio palettes for fuzzing: extremes included so degenerate shapes

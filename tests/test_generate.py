@@ -1,8 +1,9 @@
+import warnings
 from dataclasses import replace
 
 import pytest
 
-from opacheck import generate
+from opacheck import generate, validate
 from opacheck.generate import (
     fuzz_automaton,
     fuzz_instances,
@@ -11,6 +12,7 @@ from opacheck.generate import (
     run_instance,
     CampaignReport,
 )
+from opacheck.model import AutomatonWarning
 from opacheck.verifiers import PROPERTIES
 
 from conftest import EXPECTED_VERDICTS, FIXTURE_NAMES, load_fixture
@@ -33,13 +35,23 @@ class TestRandomAutomaton:
 
     def test_all_generated_instances_pass_validation_unpruned(self):
         # Accessibility is built in, so validation never prunes: the
-        # declared state count survives.
-        for index in range(1000):
-            aut = fuzz_automaton(base_seed=97, index=index)
+        # declared state count survives, and validating the description
+        # again gives the same automaton.
+        for base_seed, max_states, index in (
+            *((97, 6, i) for i in range(1000)),
+            *((7, 8, i) for i in range(500)),
+            *((13, 40, i) for i in range(300)),
+        ):
+            aut = fuzz_automaton(base_seed=base_seed, index=index, max_states=max_states)
             assert len(aut.states) >= 1
             assert aut.initial_states <= frozenset(aut.states)
             # the state names are contiguous, so none were dropped
             assert len(aut.states) == int(max(aut.states)[1:]) + 1
+            events = [(e, e in aut.observable) for e in aut.events]
+            with warnings.catch_warnings():  # every state may be secret
+                warnings.simplefilter("ignore", AutomatonWarning)
+                again = validate(aut.states, events, aut.transitions, aut.initial_states, aut.secret_states)
+            assert again == aut
 
     @pytest.mark.parametrize(
         "kwargs",
