@@ -108,11 +108,10 @@ def parse(data: "bytes | str") -> AutomatonDocument:
         if not header_seen:
             if tokens[0] != FORMAT_MAGIC or len(tokens) != 2:
                 raise FormatError(f"expected header '{FORMAT_MAGIC} {FORMAT_VERSION}'", lineno)
-            try:
-                version = int(tokens[1])
-            except ValueError:
-                raise FormatError(f"bad version {tokens[1]!r}", lineno) from None
-            if version != FORMAT_VERSION:
+            version = tokens[1]
+            if not (version.isascii() and version.isdigit()):  # int() takes "+1", "0_1" and "\u0661"
+                raise FormatError(f"bad version {version!r}", lineno)
+            if version != str(FORMAT_VERSION):
                 raise FormatError(f"unsupported format version {version}", lineno)
             header_seen = True
             continue

@@ -89,6 +89,13 @@ state q
             (b"state q\n", "header", 1),
             (b"opacity-nfa 2\nstate q\n", "version", 1),
             (b"opacity-nfa one\n", "version", 1),
+            # The version is exactly the ASCII digit 1: no sign, leading
+            # zero, underscore, Arabic-Indic or fullwidth digit.
+            (b"opacity-nfa +1\n", "bad version '+1'", 1),
+            (b"opacity-nfa 01\n", "unsupported format version 01", 1),
+            (b"opacity-nfa 0_1\n", "bad version '0_1'", 1),
+            ("opacity-nfa \u0661\n".encode(), "bad version '\u0661'", 1),
+            ("opacity-nfa \uff11\n".encode(), "bad version '\uff11'", 1),
             (b"opacity-nfa 1\nwibble q\n", "directive", 2),
             (b"opacity-nfa 1\nstate q\nstate q\n", "duplicate state", 3),
             (b"opacity-nfa 1\nstate q\nevent a maybe\n", "'event' takes", 3),
