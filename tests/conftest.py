@@ -1,5 +1,7 @@
 import pathlib
+import random
 import re
+import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -9,6 +11,7 @@ import pytest
 from opacheck import Run, load, validate
 from opacheck.constructions import Graph, cc_label, pair_label, search_observer, subset_label
 from opacheck.generate import fuzz_automaton, random_automaton
+from opacheck.model import AutomatonWarning
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -84,6 +87,39 @@ def larger_instances():
         random_automaton(seed=seed, n_states=20 + seed % 11, n_events=4, obs_ratio=0.3)
         for seed in range(24)
     ]
+
+
+def wide_automaton(rng, n_states, n_observable, mixed_initial):
+    """A random automaton of 4 events, ``n_observable`` of them chosen to
+    be observable, with secret ratio 0.3 and density 2.0.  With
+    ``mixed_initial`` it has exactly one secret initial state and one or
+    two non-secret ones, where the generator alone often leaves no
+    secret initial state and so an empty ISO/SISO product."""
+    while True:
+        base = random_automaton(rng=rng, n_states=n_states, n_events=4, secret_ratio=0.3, density=2.0)
+        secret = sorted(base.secret_states)
+        plain = sorted(set(base.states) - base.secret_states)
+        if not mixed_initial or (secret and plain):
+            break
+    initial = base.initial_states
+    if mixed_initial:
+        initial = [rng.choice(secret)] + rng.sample(plain, min(len(plain), rng.randint(1, 2)))
+    observable = set(rng.sample(base.events, n_observable))
+    events = [(e, e in observable) for e in base.events]
+    with warnings.catch_warnings():  # new initial states may leave some unreachable
+        warnings.simplefilter("ignore", AutomatonWarning)
+        return validate(base.states, events, base.transitions, initial, base.secret_states)
+
+
+def wide_instances(seed=11):
+    """100 labelled automata of 60-160 states and 1-3 observable events,
+    every other one with mixed initial states: 60 of 60-100 states, then
+    40 of 100-160."""
+    rng = random.Random(seed)
+    for lo, hi, count in ((60, 100, 60), (100, 160, 40)):
+        for i in range(count):
+            aut = wide_automaton(rng, rng.randint(lo, hi), rng.randint(1, 3), mixed_initial=bool(i % 2))
+            yield f"wide seed={seed} {lo}-{hi} index={i}", aut
 
 
 def chain_instances():

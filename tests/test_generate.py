@@ -1,3 +1,4 @@
+import time
 import warnings
 from dataclasses import replace
 
@@ -15,7 +16,7 @@ from opacheck.generate import (
 from opacheck.model import AutomatonWarning
 from opacheck.verifiers import PROPERTIES
 
-from conftest import EXPECTED_VERDICTS, FIXTURE_NAMES, load_fixture
+from conftest import EXPECTED_VERDICTS, FIXTURE_NAMES, load_fixture, wide_instances
 
 
 class TestRandomAutomaton:
@@ -84,6 +85,17 @@ class TestCampaign:
                 assert verdicts[prop].holds is EXPECTED_VERDICTS[name][prop], f"{name} {prop}"
         assert report.ok
         assert report.count == len(FIXTURE_NAMES)
+
+    def test_wide_campaign_is_clean(self):
+        """The oracles, witness replay and the implication lattice agree
+        with the decider at 60-160 states of a low-observability shape,
+        beyond the reach of the fuzz campaigns."""
+        start = time.perf_counter()
+        report = run_campaign(wide_instances())
+        elapsed = time.perf_counter() - start
+        assert report.count == 100
+        assert (report.discrepancies, report.implication_violations, report.witness_failures) == ([], [], [])
+        assert elapsed < 60, f"{elapsed:.1f} s"
 
     def test_seeded_campaign_is_reproducible(self):
         first = run_campaign(fuzz_instances(30, 5, seed=12))
