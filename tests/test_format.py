@@ -116,6 +116,18 @@ state q
             (b"opacity-nfa 1\n\x0c\nstate q\ninit r\n", "unknown state", 4),
             (b"opacity-nfa 1\r\nstate q\x0bstate p\rinit r\r\n", "'state' takes", 2),
             (b"opacity-nfa 1\r\nstate q\rinit r\r\n", "unknown state", 3),
+            # With several broken entries, the first broken rule names its
+            # first broken entry: transitions before initial before secret
+            # states, repeats before references, a source before an event.
+            (b"opacity-nfa 1\nstate q\nevent a obs\ntrans q a r\ntrans s a q\n", "unknown state 'r'", 4),
+            (b"opacity-nfa 1\nstate q\nevent a obs\ninit r\ntrans q a s\n", "unknown state 's'", 5),
+            (
+                b"opacity-nfa 1\nstate q\nevent a obs\ntrans q a r\ntrans q a q\ntrans q a q\n",
+                "duplicate transition",
+                6,
+            ),
+            (b"opacity-nfa 1\nstate q\nevent a obs\nsecret r\ninit s\n", "unknown state 's'", 5),
+            (b"opacity-nfa 1\nstate q\nevent a obs\ntrans q b q\ntrans r a q\n", "unknown event 'b'", 4),
         ],
     )
     def test_errors_carry_line_numbers(self, text, fragment, line):
@@ -341,6 +353,30 @@ class TestExportDot:
         (marker,) = [line.split(" [")[0].strip() for line in lines if "shape=point" in line]
         assert marker.strip('"') not in aut.states
         assert [line for line in lines if line.startswith(f"  {marker} ->")] == [f'  {marker} -> "q";']
+
+    def test_quotes_and_backslashes_are_escaped(self):
+        aut = validate(
+            ['a"b', "c\\d"],
+            [('e"', True), ("u\\", False)],
+            [('a"b', 'e"', "c\\d"), ("c\\d", "u\\", 'a"b')],
+            ['a"b'],
+            ["c\\d"],
+        )
+        assert export_dot(aut) == (
+            "digraph automaton {\n"
+            "  rankdir=LR;\n"
+            "  node [shape=circle];\n"
+            '  "__start_0" [shape=point, label=""];\n'
+            '  "__start_0" -> "a\\"b";\n'
+            '  "a\\"b" [label="a\\"b"];\n'
+            '  "c\\\\d" [label="c\\\\d", style=filled, fillcolor=lightgray];\n'
+            '  "a\\"b" -> "c\\\\d" [label="e\\""];\n'
+            '  "c\\\\d" -> "a\\"b" [label="u\\\\", style=dashed];\n'
+            "}\n"
+        )
+        cc = export_dot(build_structure(aut, "cc"))
+        assert '  "(c\\\\d,{})" -> "(a\\"b,{})" [label="(u\\\\,eps)", style=dashed];' in cc.splitlines()
+        assert_valid_dot(cc)
 
     def test_unsupported_type_rejected(self):
         with pytest.raises(TypeError):
