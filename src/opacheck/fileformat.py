@@ -96,15 +96,15 @@ def parse(data: "bytes | str") -> AutomatonDocument:
             raise FormatError(f"not valid UTF-8: {exc}") from None
     text = data.removeprefix("\ufeff")
 
-    groups: dict[str, list[tuple[object, int]]] = {directive: [] for directive in _DIRECTIVES}
+    entries: dict[str, list] = {directive: [] for directive in _DIRECTIVES}
+    lines: dict[str, list[int]] = {directive: [] for directive in _DIRECTIVES}
     header_seen = False
 
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    rows = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(rows, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         if not header_seen:
             if tokens[0] != FORMAT_MAGIC or len(tokens) != 2:
                 raise FormatError(f"expected header '{FORMAT_MAGIC} {FORMAT_VERSION}'", lineno)
@@ -123,17 +123,17 @@ def parse(data: "bytes | str") -> AutomatonDocument:
             raise FormatError(message, lineno)
         if directive == "event":
             args = [args[0], args[1] == "obs"]
-        groups[directive].append((args[0] if arity == 1 else tuple(args), lineno))
+        entries[directive].append(args[0] if arity == 1 else tuple(args))
+        lines[directive].append(lineno)
 
     if not header_seen:
         raise FormatError(f"missing header '{FORMAT_MAGIC} {FORMAT_VERSION}'")
 
-    entries = groups.values()
     try:
-        return AutomatonDocument(FORMAT_VERSION, *(tuple(e for e, _ in group) for group in entries))
+        return AutomatonDocument(FORMAT_VERSION, *entries.values())
     except ValidationError:
         # Only a broken file is checked twice: again, to find the line.
-        check_description(*entries)
+        check_description(*entries.values(), lines=tuple(lines.values()))
         raise
 
 
@@ -168,11 +168,12 @@ def _graph(structure: "Automaton | Graph") -> Graph:
     elif not isinstance(structure, Graph):
         raise TypeError(f"cannot export {type(structure).__name__}")
     for kind, named in (("state", structure.states), ("event", structure.events)):
-        seen: set[str] = set()
-        for name, _ in named:
-            if name in seen:
-                raise ValidationError(f"two {kind}s are both named {name!r}")
-            seen.add(name)
+        if len(dict(named)) < len(named):  # a label repeats; find the first
+            seen: set[str] = set()
+            for name, _ in named:
+                if name in seen:
+                    raise ValidationError(f"two {kind}s are both named {name!r}")
+                seen.add(name)
     return structure
 
 
@@ -202,25 +203,24 @@ def export_dot(structure: "Automaton | Graph") -> str:
     dashed.
     """
     graph = _graph(structure)
-    observable = dict(graph.events)
+    # Each label is quoted once, with an endpoint or initial state that is no state.
+    sources, _, targets = zip(*graph.transitions) if graph.transitions else ((), (), ())
+    labels = {label for label, _ in graph.states}.union(graph.initial, sources, targets)
+    quoted = {label: _quote(label) for label in labels}
+    attrs = {event: f"label={_quote(event)}" + ("" if obs else ", style=dashed") for event, obs in graph.events}
     out = [f"digraph {graph.name} {{", "  rankdir=LR;", '  node [shape=circle];']
     # Entry markers are nodes too: their prefix starts no state's label.
     prefix = "__start_"
     while any(label.startswith(prefix) for label, _ in graph.states):
         prefix += "_"
     for index, label in enumerate(graph.initial):
-        marker = f"{prefix}{index}"
-        out.append(f"  {_quote(marker)} [shape=point, label=\"\"];")
-        out.append(f"  {_quote(marker)} -> {_quote(label)};")
+        marker = _quote(f"{prefix}{index}")
+        out.append(f"  {marker} [shape=point, label=\"\"];")
+        out.append(f"  {marker} -> {quoted[label]};")
     for label, is_secret in graph.states:
-        attrs = [f"label={_quote(label)}"]
-        if is_secret:
-            attrs += ["style=filled", "fillcolor=lightgray"]
-        out.append(f"  {_quote(label)} [{', '.join(attrs)}];")
+        fill = ", style=filled, fillcolor=lightgray" if is_secret else ""
+        out.append(f"  {quoted[label]} [label={quoted[label]}{fill}];")
     for src, label, dst in graph.transitions:
-        attrs = [f"label={_quote(label)}"]
-        if not observable[label]:
-            attrs.append("style=dashed")
-        out.append(f"  {_quote(src)} -> {_quote(dst)} [{', '.join(attrs)}];")
+        out.append(f"  {quoted[src]} -> {quoted[dst]} [{attrs[label]}];")
     out.append("}")
     return "\n".join(out) + "\n"

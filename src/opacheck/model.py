@@ -11,6 +11,7 @@ are reproducible.  Automaton and Run values are immutable.
 from __future__ import annotations
 
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -174,50 +175,67 @@ class Run:
         return self.steps[-1][1] if self.steps else self.start
 
 
-Entries = Sequence[tuple[object, "int | None"]]
-
-
-def check_description(
-    states: Entries, events: Entries, transitions: Entries, initial: Entries, secret: Entries
-) -> None:
+def check_description(states, events, transitions, initial, secret, *, lines=None) -> None:
     """Apply the rules every automaton description must satisfy.
 
-    Each group holds (entry, line) pairs, where ``line`` is the entry's
-    line in a file or None; ``events`` entries are (name, observable)
-    pairs.  Names must be nonempty printable strings, without whitespace
-    or ``#``, so that every name reads back from a file as itself.  No state,
-    event, transition, initial or secret entry may repeat, and every
-    referenced state and event must be declared.  The first broken rule
-    raises :class:`ValidationError` carrying the entry's line.
+    ``events`` are (name, observable) pairs.  Names must be nonempty
+    printable strings, without whitespace or ``#``, so that every name
+    reads back from a file as itself.  No state, event, transition, initial
+    or secret entry may repeat, and every referenced state and event must
+    be declared; a name that cannot be hashed is declared nowhere.  Rules
+    are decided with sets, and only a broken description is scanned in
+    order: its first broken entry raises :class:`ValidationError`, with
+    the entry's line when a file gives each group's ``lines``.
     """
-    event_names = [(name, line) for (name, _), line in events]
-    for kind, group in (("state", states), ("event", event_names)):
-        for name, line in group:
-            # '#' would start a comment and a non-printable character can
-            # end a line.  Space is the only whitespace isprintable() allows.
-            printable = isinstance(name, str) and name.isprintable()
-            if not printable or not name or " " in name or "#" in name:
-                rule = "must be nonempty and printable, without whitespace or '#'"
+    event_names = [name for name, _ in events]
+    groups = (states, event_names, transitions, initial, secret)
+    sources, labels, targets = zip(*transitions) if transitions else ((), (), ())
+    with suppress(TypeError):  # a name that cannot be hashed, found below
+        declared, references = set(states), [*sources, *targets, *initial, *secret]
+        if _well_named(states) and _well_named(event_names) and all(len(set(g)) == len(g) for g in groups):
+            if declared.issuperset(references) and set(event_names).issuperset(labels):
+                return
+    at = lines or [[None] * len(group) for group in groups]
+    rule = "must be nonempty and printable, without whitespace or '#'"
+    for index, kind in enumerate(("state", "event")):
+        for name, line in zip(groups[index], at[index]):
+            if not _well_named((name,)):
                 raise ValidationError(f"bad {kind} name {name!r}: {rule}", line)
-    kinds = ("state", "event", "transition", "init entry", "secret entry")
-    for kind, group in zip(kinds, (states, event_names, transitions, initial, secret)):
-        if len(dict(group)) < len(group):  # an entry repeats; find the first
-            seen: set = set()
-            for entry, line in group:
-                if entry in seen:
-                    raise ValidationError(f"duplicate {kind} {entry!r}", line)
-                seen.add(entry)
-    declared = dict(states)
-    declared_events = dict(event_names)
-    for (src, event, dst), line in transitions:
-        if src not in declared or dst not in declared:
-            missing = src if src not in declared else dst
-            raise ValidationError(f"unknown state {missing!r}", line)
-        if event not in declared_events:
+    for index, kind in enumerate(("state", "event", "transition", "init entry", "secret entry")):
+        seen: set = set()
+        for entry, line in zip(groups[index], at[index]):
+            if _key(entry) in seen:
+                raise ValidationError(f"duplicate {kind} {entry!r}", line)
+            seen.add(_key(entry))
+    declared, declared_events = set(states), set(event_names)
+    for (src, event, dst), line in zip(transitions, at[2]):
+        for name in (src, dst):
+            if _key(name) not in declared:
+                raise ValidationError(f"unknown state {name!r}", line)
+        if _key(event) not in declared_events:
             raise ValidationError(f"unknown event {event!r}", line)
-    for name, line in (*initial, *secret):
-        if name not in declared:
+    for name, line in zip((*initial, *secret), (*at[3], *at[4])):
+        if _key(name) not in declared:
             raise ValidationError(f"unknown state {name!r}", line)
+
+
+def _well_named(names: Sequence) -> bool:
+    """Whether all names are nonempty and printable, without space or ``#``:
+    '#' starts a comment, and isprintable() rejects line ends and other whitespace."""
+    try:
+        joined = "".join(names)
+    except TypeError:  # a name that is not a string
+        return False
+    return all(names) and joined.isprintable() and " " not in joined and "#" not in joined
+
+
+def _key(entry):
+    """``entry``, or a new object if it cannot be hashed: it repeats nothing."""
+    try:
+        hash(entry)
+    except TypeError:
+        return object()
+    return entry
 
 
 def validate(
@@ -258,13 +276,16 @@ def _checked(states, events, transitions, initial, secret) -> tuple[tuple, ...]:
         tuple(initial),
         tuple(secret),
     )
-    check_description(*([(entry, None) for entry in group] for group in groups))
+    check_description(*groups)
     return groups
 
 
 def _sized(entries: Iterable, size: int, kind: str, shape: str) -> tuple[tuple, ...]:
     """``entries`` as tuples of ``size`` items each; a string is one
     malformed entry, not a sequence of names."""
+    entries = tuple(entries)
+    if {tuple} >= set(map(type, entries)) and {size} >= set(map(len, entries)):
+        return entries  # already tuples of the right size: passed through
     sized = []
     for entry in entries:
         try:

@@ -13,7 +13,7 @@ from opacheck import (
     serialize,
     validate,
 )
-from opacheck.constructions import STRUCTURES, build_structure
+from opacheck.constructions import STRUCTURES, Graph, build_structure
 from opacheck.fileformat import AutomatonDocument, document_of
 from opacheck.generate import fuzz_automaton
 from opacheck.model import AllStatesSecretWarning, PrunedStatesWarning, check_description
@@ -212,6 +212,17 @@ class TestDocument:
             # A group of names given as one string is rejected, not split.
             ("ab", (), (), ("a",), "bad states 'ab'"),
             (("a",), (), (), "a", "bad initial states 'a'"),
+            # A name that cannot be hashed is undeclared, in rule order.
+            (("a",), (("e", True),), (("a", "e", ["a"]),), ("a",), "unknown state ['a']"),
+            (("a",), (("e", True),), (("a", {"e": 1}, "a"),), ("a",), "unknown event {'e': 1}"),
+            (("a",), (), (), (["a"],), "unknown state ['a']"),
+            (
+                ("a",),
+                (("e", True),),
+                (("a", "e", ["a"]), ("a", "e", "a"), ("a", "e", "a")),
+                ("a",),
+                "duplicate transition ('a', 'e', 'a')",
+            ),
         ],
         ids=[
             "int-event-name",
@@ -220,6 +231,10 @@ class TestDocument:
             "unpaired-event",
             "string-states",
             "string-initial",
+            "unhashable-target",
+            "unhashable-event",
+            "unhashable-initial",
+            "repeat-before-unhashable",
         ],
     )
     def test_entry_shapes_match_validate(self, states, events, transitions, initial, error):
@@ -377,6 +392,19 @@ class TestExportDot:
         cc = export_dot(build_structure(aut, "cc"))
         assert '  "(c\\\\d,{})" -> "(a\\"b,{})" [label="(u\\\\,eps)", style=dashed];' in cc.splitlines()
         assert_valid_dot(cc)
+
+    def test_endpoint_that_is_no_state_is_quoted(self):
+        graph = Graph("g", [("a", False)], ["a"], [("e", True)], [("a", "e", 'b"')])
+        assert export_dot(graph).splitlines()[-2] == '  "a" -> "b\\"" [label="e"];'
+
+    @pytest.mark.parametrize(
+        "states,events,kind",
+        [([("a", False), ("a", True)], [], "states are both named 'a'"), ([], [("e", True)] * 2, "events")],
+    )
+    def test_repeated_label_rejected(self, states, events, kind):
+        for write in (export_dot, document_of):
+            with pytest.raises(ValidationError, match=f"two {kind}"):
+                write(Graph("g", states, [], events, []))
 
     def test_unsupported_type_rejected(self):
         with pytest.raises(TypeError):

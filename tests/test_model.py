@@ -150,6 +150,12 @@ class TestValidate:
                 initial_states=["a"],
                 secret_states="ab",
             ),
+            # A name that cannot be hashed is an undeclared reference.
+            dict(states=["a", "b"], events=[("e", True)], transitions=[(["a"], "e", "b")], initial_states=["a"]),
+            dict(states=["a"], events=[("e", True)], transitions=[("a", ["e"], "a")], initial_states=["a"]),
+            dict(states=["a"], events=[("e", True)], transitions=[("a", "e", {"a": 1})], initial_states=["a"]),
+            dict(states=["a"], events=[], transitions=[], initial_states=[["a"]]),
+            dict(states=["a"], events=[], transitions=[], initial_states=["a"], secret_states=[{"a"}]),
         ],
     )
     def test_rejections(self, kwargs):
