@@ -203,11 +203,9 @@ def export_dot(structure: "Automaton | Graph") -> str:
     dashed.
     """
     graph = _graph(structure)
-    # Each label is quoted once, with an endpoint or initial state that is no state.
-    sources, _, targets = zip(*graph.transitions) if graph.transitions else ((), (), ())
-    labels = {label for label, _ in graph.states}.union(graph.initial, sources, targets)
-    quoted = {label: _quote(label) for label in labels}
-    attrs = {event: f"label={_quote(event)}" + ("" if obs else ", style=dashed") for event, obs in graph.events}
+    # Each state's label is quoted once; a label that is no state's, where it is used.
+    quoted = {label: _quote(label) for label, _ in graph.states}
+    attrs = {name: f"label={_quote(name)}" + ("" if obs else ", style=dashed") for name, obs in graph.events}
     out = [f"digraph {graph.name} {{", "  rankdir=LR;", '  node [shape=circle];']
     # Entry markers are nodes too: their prefix starts no state's label.
     prefix = "__start_"
@@ -216,11 +214,12 @@ def export_dot(structure: "Automaton | Graph") -> str:
     for index, label in enumerate(graph.initial):
         marker = _quote(f"{prefix}{index}")
         out.append(f"  {marker} [shape=point, label=\"\"];")
-        out.append(f"  {marker} -> {quoted[label]};")
+        out.append(f"  {marker} -> {quoted.get(label) or _quote(label)};")
     for label, is_secret in graph.states:
         fill = ", style=filled, fillcolor=lightgray" if is_secret else ""
         out.append(f"  {quoted[label]} [label={quoted[label]}{fill}];")
     for src, label, dst in graph.transitions:
-        out.append(f"  {quoted[src]} -> {quoted[dst]} [{attrs[label]}];")
+        src_q, dst_q = quoted.get(src) or _quote(src), quoted.get(dst) or _quote(dst)
+        out.append(f"  {src_q} -> {dst_q} [{attrs[label]}];")
     out.append("}")
     return "\n".join(out) + "\n"

@@ -118,8 +118,10 @@ state q
             (b"opacity-nfa 1\r\nstate q\rinit r\r\n", "unknown state", 3),
             # With several broken entries, the first broken rule names its
             # first broken entry: transitions before initial before secret
-            # states, repeats before references, a source before an event.
+            # states, repeats before references, a source before its target
+            # and its event.
             (b"opacity-nfa 1\nstate q\nevent a obs\ntrans q a r\ntrans s a q\n", "unknown state 'r'", 4),
+            (b"opacity-nfa 1\nstate q\nevent a obs\ntrans r a s\n", "unknown state 'r'", 4),
             (b"opacity-nfa 1\nstate q\nevent a obs\ninit r\ntrans q a s\n", "unknown state 's'", 5),
             (
                 b"opacity-nfa 1\nstate q\nevent a obs\ntrans q a r\ntrans q a q\ntrans q a q\n",
