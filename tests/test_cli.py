@@ -316,6 +316,22 @@ class TestExport:
                     lines.append(f"{name} {structure} {fmt} {code} {digest}\n")
         assert "".join(lines) == (GOLDEN / "exports.sha256").read_text()
 
+    def test_generated_export_bytes_match_golden_digests(self, capsys, tmp_path):
+        """sha256 of stdout and the exit code of the observer, cc and
+        cc-hat exports of 20 generated 25-state files, at the scale of the
+        export benchmark: the seed, structure, format, code and digest."""
+        lines = []
+        for seed in range(20):
+            path = tmp_path / f"gen{seed}.aut"
+            options = ["--states", "25", "--events", "4", "--obs-ratio", "0.5", "--secret-ratio", "0.3"]
+            assert run_cli(capsys, "gen", *options, "--seed", str(seed), "--out", str(path))[0] == 0
+            for structure in ("observer", "cc", "cc-hat"):
+                for fmt in ("dot", "native"):
+                    code, out, _ = run_cli(capsys, "export", str(path), "--structure", structure, "--format", fmt)
+                    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+                    lines.append(f"{seed} {structure} {fmt} {code} {digest}\n")
+        assert "".join(lines) == (GOLDEN / "exports_gen.sha256").read_text()
+
     @pytest.mark.parametrize("fmt", ["dot", "native"])
     def test_colliding_state_labels_are_an_input_error(self, capsys, tmp_path, fmt):
         path = tmp_path / "colliding.aut"
