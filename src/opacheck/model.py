@@ -255,10 +255,11 @@ def validate(
     states are all secret is accepted with an
     :class:`AllStatesSecretWarning`.
 
-    Raises :class:`ValidationError` for a group of states given as one
-    string, a transition that is not a triple or an event that is not a
-    pair, for anything :func:`check_description` rejects, and for an
-    empty state set (possibly after pruning).
+    Raises :class:`ValidationError` for a group that is not iterable or
+    a group of states given as one string, a transition that is not a
+    triple or an event that is not a pair, for anything
+    :func:`check_description` rejects, and for an empty state set
+    (possibly after pruning).
     """
     return _assemble(*_checked(states, events, transitions, initial_states, secret_states))
 
@@ -266,6 +267,13 @@ def validate(
 def _checked(states, events, transitions, initial, secret) -> tuple[tuple, ...]:
     """The five groups in one shape (transitions as tuples, event flags
     as bools, names as given), after :func:`check_description` passed them."""
+    kinds = ("states", "events", "transitions", "initial states", "secret states")
+    for group, kind in zip((states, events, transitions, initial, secret), kinds):
+        try:
+            iter(group)
+        except TypeError:  # not iterable
+            message = f"bad {kind} {group!r}: must be a collection, not {type(group).__name__}"
+            raise ValidationError(message) from None
     for group, kind in ((states, "states"), (initial, "initial states"), (secret, "secret states")):
         if isinstance(group, str):  # it would split into one-character names
             raise ValidationError(f"bad {kind} {group!r}: must be a collection of names, not a string")

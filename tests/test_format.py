@@ -225,6 +225,11 @@ class TestDocument:
                 ("a",),
                 "duplicate transition ('a', 'e', 'a')",
             ),
+            # A group that is not iterable is named, as one given as a string is.
+            (("a",), (), 7, ("a",), "bad transitions 7"),
+            (7, (), (), ("a",), "bad states 7"),
+            (("a",), 7, (), ("a",), "bad events 7"),
+            (("a",), (), (), 5, "bad initial states 5"),
         ],
         ids=[
             "int-event-name",
@@ -237,6 +242,10 @@ class TestDocument:
             "unhashable-event",
             "unhashable-initial",
             "repeat-before-unhashable",
+            "int-transitions",
+            "int-states",
+            "int-events",
+            "int-initial",
         ],
     )
     def test_entry_shapes_match_validate(self, states, events, transitions, initial, error):

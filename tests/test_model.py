@@ -156,6 +156,12 @@ class TestValidate:
             dict(states=["a"], events=[("e", True)], transitions=[("a", "e", {"a": 1})], initial_states=["a"]),
             dict(states=["a"], events=[], transitions=[], initial_states=[["a"]]),
             dict(states=["a"], events=[], transitions=[], initial_states=["a"], secret_states=[{"a"}]),
+            # A group that is not iterable is named, as one given as a string is.
+            dict(states=["a"], events=[], transitions=7, initial_states=["a"]),
+            dict(states=7, events=[], transitions=[], initial_states=["a"]),
+            dict(states=["a"], events=7, transitions=[], initial_states=["a"]),
+            dict(states=["a"], events=[], transitions=[], initial_states=5),
+            dict(states=["a"], events=[], transitions=[], initial_states=["a"], secret_states=5),
         ],
     )
     def test_rejections(self, kwargs):
