@@ -10,26 +10,26 @@ The paper's four constructions, each with its function here:
 * ``search_observer`` -- powerset determinization with silent closure;
   its states are the nonempty sets of states consistent with an
   observation.
-* ``search_product`` -- the synchronized product of an automaton with an
+* ``count_product`` -- the synchronized product of an automaton with an
   observer: the left side moves like the automaton, the right side
   replays the observation through the observer and collapses to the
   distinguished empty estimate once the observer has no answer.  The
   empty estimate is absorbing.
 
 The two restrictions are automata: immutable, reachable from their
-initial states, components sorted.  The observer and the product are
-searches on plain ints, and each keeps the breadth-first tree of its
-search as ``parents``: in discovery order, each state maps to the
-(state, event) it was first reached from, each initial state to None.
-A shortest path to any state is read off that tree.  The deciders read
-sizes from the observer search and the product count, and walk a product
-only for a witness, up to its first bad state; a witness labels just its
-offending state.  ``subset_label``, ``cc_label`` and ``pair_label`` are
-the one writer of an estimate's, a product state's and an event pair's
-label.  Only ``export`` labels a whole observer or product:
-``observer_graph`` and ``product_graph`` render a search straight into
-a :class:`Graph`, in label order, and ``build_structure`` gives each
-structure ``export`` names.
+initial states, components sorted.  The observer search and the
+product's witness walk run on plain ints, and each keeps its
+breadth-first tree as ``parents``: in discovery order, each state maps
+to the (state, event) it was first reached from, each initial state to
+None.  A shortest path to any state is read off that tree.  The deciders
+read sizes from the observer search and the product count, and walk a
+product only for a witness, up to its first bad state; a witness labels
+just its offending state.  ``subset_label``, ``cc_label`` and
+``pair_label`` are the one writer of an estimate's, a product state's and
+an event pair's label.  Only ``export`` labels a whole observer or
+product: ``observer_graph`` and ``product_graph`` render an observer
+search and a product count straight into a :class:`Graph`, in label
+order, and ``build_structure`` gives each structure ``export`` names.
 
 * ``search_observer`` keeps each estimate as a bit mask over the
   source's states and numbers the estimates 1, 2, ... in discovery
@@ -38,15 +38,15 @@ structure ``export`` names.
   each observable event's targets (its closed image) into one int, one
   slice of bits per event.  Closure distributes over union, so one OR of
   the members' packed rows steps an estimate on every event at once.
-* ``count_product`` finds a product's exact sizes and its collapsed
-  states without a search: the product's states are the pairs (x, e)
-  with x in L_e, one mask of left states per estimate e, and the masks
-  grow to a fixpoint through the left automaton's packed rows.
-* ``search_product`` keys the state (left state i, estimate e) as the
-  int ``e * n + i``, n being the number of left states, so collapsed
-  states are the keys below n.  It groups each left state's arcs by
-  event once, so a product state looks up the observer's step once per
-  event, not once per arc.  Its walk stops as soon as it discovers a
+* ``count_product`` finds a product's states without a search: the pairs
+  (x, e) with x in L_e, one mask of left states per estimate e.  The masks
+  grow to a fixpoint through the left automaton's packed rows, and both
+  the deciders and ``export`` read the product off them.
+* ``search_product``, the witness walk, keys the state (left state i,
+  estimate e) as the int ``e * n + i``, n being the number of left states,
+  so collapsed states are the keys below n.  It groups each left state's
+  arcs by event once, so a product state looks up the observer's step
+  once per event, not once per arc.  It stops as soon as it discovers a
   collapsed state whose left state is in the mask its caller gives, so a
   stopped walk is a prefix of the whole walk, in the same discovery order.
 
@@ -242,19 +242,26 @@ def search_observer(src: Automaton, initial_states: "Iterable[str] | None" = Non
 
 
 class ProductCount(NamedTuple):
-    """Sizes of a product and its collapsed states, found without
-    searching it.  ``collapsed`` is the mask of the left states paired
-    with the collapsed estimate and ``left`` the mask of the left states
-    in any product state, bit i standing for ``left.states[i]``."""
+    """A product's states and its transition count, found without
+    searching it.  ``masks`` maps each estimate e the product reaches to
+    the mask L_e of the left states paired with it, bit i standing for
+    ``left.states[i]``; ``collapsed`` is L_0 and ``left`` the mask of the
+    left states in any product state."""
 
-    states: int
     transitions: int
-    collapsed: int
-    left: int
+    masks: dict[int, int]
+
+    @property
+    def collapsed(self) -> int:
+        return self.masks.get(0, 0)
+
+    @property
+    def left(self) -> int:
+        return reduce(or_, self.masks.values(), 0)
 
     @property
     def size(self) -> tuple[int, int]:
-        return self.states, self.transitions
+        return sum(map(int.bit_count, self.masks.values())), self.transitions
 
 
 def count_product(
@@ -280,11 +287,10 @@ def count_product(
     reached = {}  # estimate -> L_e
     root = tables.closure(roots)
     pending = {initial: root} if root else {}  # estimate -> left states to add
-    states = transitions = 0
+    transitions = 0
     while pending:  # a pending mask holds only left states not yet in its L_e
         estimate, fresh = pending.popitem()
         reached[estimate] = reached.get(estimate, 0) | fresh
-        states += fresh.bit_count()
         image = 0
         while fresh:
             low = fresh & -fresh
@@ -300,29 +306,22 @@ def count_product(
                 mask &= ~reached.get(target, 0)
                 if mask:
                     pending[target] = pending.get(target, 0) | mask
-    return ProductCount(states, transitions, reached.get(0, 0), reduce(or_, reached.values(), 0))
-
-
-# Per left state, its arcs grouped by event: (event, the observer's step
-# row for the event, or None when the event is silent, target indexes).
-ArcGroup = tuple[str, "list[int] | None", tuple[int, ...]]
+    return ProductCount(transitions, reached)
 
 
 class ProductSearch(NamedTuple):
-    """The product's breadth-first search, on int keys, walked until it
-    stopped (see :func:`search_product`).
+    """The product's witness walk: its breadth-first search, on int keys,
+    walked until it stopped (see :func:`search_product`).
 
     The state (left state i, estimate number e) has key ``e * n + i``,
     where n is the number of left states, so the collapsed states are
     exactly the keys below n.  ``parents`` maps each key discovered, in
     discovery order, to the (key, event) it was first reached from,
     and each initial key to None.  ``collapsed`` lists the collapsed keys
-    discovered, in discovery order.  Arcs are not stored: ``groups``
-    gives them per left state.
+    discovered, in discovery order.
     """
 
     left: Automaton
-    groups: list[list[ArcGroup]]
     parents: dict[int, "tuple[int, str] | None"]
     collapsed: list[int]
 
@@ -352,7 +351,8 @@ def search_product(
     names = left.states
     n = len(names)
     index = {x: i for i, x in enumerate(names)}
-    groups: list[list[ArcGroup]] = [[] for _ in names]
+    # Per left state: (event, the observer's step row or None when silent, target indexes).
+    groups: list[list[tuple[str, "list[int] | None", tuple[int, ...]]]] = [[] for _ in names]
     # left.transitions is sorted by (source, event, target), so each
     # group's targets and each state's groups come out in arc order.
     for (state, event), arcs_of_event in groupby(left.transitions, key=itemgetter(0, 1)):
@@ -362,7 +362,7 @@ def search_product(
     order = [initial * n + index[x] for x in sorted(roots)]
     parents: dict[int, "tuple[int, str] | None"] = dict.fromkeys(order)
     collapsed = [key for key in order if key < n]
-    search = ProductSearch(left, groups, parents, collapsed)
+    search = ProductSearch(left, parents, collapsed)
     if search.first_collapsed(stop) is not None:
         return search
     for key in order:  # order grows while it is walked
@@ -413,8 +413,8 @@ def observer_graph(search: ObserverSearch) -> Graph:
 
 
 def product_graph(left: Automaton, observer: ObserverSearch) -> Graph:
-    """The labelled product of ``left`` with an observer search, from one
-    walk of :func:`search_product` on the search's own steps.
+    """The labelled product of ``left`` with an observer search, read off
+    the masks :func:`count_product` finds on the search's own steps.
 
     Observable events move both sides; the estimate goes to the observer's
     successor where it is defined and collapses to the empty estimate
@@ -422,29 +422,29 @@ def product_graph(left: Automaton, observer: ObserverSearch) -> Graph:
     ``(x4,{x1,x5})``, are sorted by left state, then by estimate in label
     order; each state's arcs follow ``left``'s transitions.
     """
-    search = search_product(left, left.initial_states, observer.initial, observer.steps)
+    masks = count_product(left, left.initial_states, observer.initial, observer.steps).masks
     estimates, order = _estimate_labels(observer)
-    rank = {number: position for position, number in enumerate(order)}
     names = left.states
-    n = len(names)
-    label = {key: cc_label(names[key % n], estimates[key // n]) for key in search.parents}
-    # By left state, then by estimate rank, as one int.
-    keys = sorted(search.parents, key=lambda key: key % n * len(order) + rank[key // n])
+    paired: dict[str, list[int]] = {x: [] for x in names}  # each left state's estimates, in label order
+    for estimate in order:
+        for i in _bits(masks.get(estimate, 0)):
+            paired[names[i]].append(estimate)
+    label = {(x, e): cc_label(x, estimates[e]) for x, numbers in paired.items() for e in numbers}
     pairs = {event: pair_label(event, event in left.observable) for event in left.events}
     transitions = []
-    for key in keys:
-        estimate, x = divmod(key, n)
-        source = label[key]
-        for event, row, targets in search.groups[x]:
-            # Row entry 0 is 0, so the collapsed estimate stays collapsed.
-            base = (estimate if row is None else row[estimate]) * n
-            for target in targets:
-                transitions.append((source, pairs[event], label[base + target]))
+    # left.transitions is sorted by source, so each left state's arcs come out in arc order.
+    for x, arcs in groupby(left.transitions, key=itemgetter(0)):
+        arcs = [(pairs[e], observer.steps[e] if e in left.observable else None, t) for _, e, t in arcs]
+        for estimate in paired[x]:
+            source = label[x, estimate]
+            for pair, row, target in arcs:
+                # Row entry 0 is 0, so the collapsed estimate stays collapsed.
+                transitions.append((source, pair, label[target, estimate if row is None else row[estimate]]))
     secret = left.secret_states
     return Graph(
         "product",
-        [(label[key], names[key % n] in secret) for key in keys],
-        [label[key] for key, link in search.parents.items() if link is None],
+        [(text, x in secret) for (x, _), text in label.items()],
+        [label[x, observer.initial] for x in sorted(left.initial_states)],
         [(text, event in left.observable) for event, text in pairs.items()],
         transitions,
     )

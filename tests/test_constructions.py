@@ -1,4 +1,5 @@
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
@@ -44,6 +45,7 @@ from conftest import (
     state_label,
     subset_tree,
     successors,
+    wide_automaton,
 )
 
 
@@ -482,6 +484,31 @@ class TestMatchesReference:
         for aut in larger_instances():
             assert_matches_reference(aut)
 
+    def test_mixed_initial_instances(self):
+        # larger_instances() rarely has a secret initial state, so its
+        # cc-hat is mostly empty; each of these has one, so none is.
+        rng = random.Random(3)
+        for _ in range(20):
+            aut = wide_automaton(rng, rng.randint(20, 30), rng.randint(1, 3), mixed_initial=True)
+            assert build_structure(aut, "cc-hat").states
+            assert_matches_reference(aut)
+
+    def test_export_walks_no_product(self, monkeypatch):
+        # cc and cc-hat are rendered from the product count: the
+        # breadth-first walk serves only witnesses.
+        from opacheck import constructions
+
+        automata = [*random_instances(100), *larger_instances(), *chain_instances()]
+        expected = [[build_structure(aut, name) for name in ("cc", "cc-hat")] for aut in automata]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a product was walked")
+
+        monkeypatch.setattr(constructions, "search_product", refuse)
+        for aut, graphs in zip(automata, expected):
+            fresh = replace(aut)  # no closure tables kept from the first build
+            assert [build_structure(fresh, name) for name in ("cc", "cc-hat")] == graphs
+
     def test_silent_cycle(self):
         aut = validate(
             states=["p", "q", "r", "s"],
@@ -591,7 +618,7 @@ def assert_count_matches_walk(aut):
         count = count_product(left, left.initial_states, obs.initial, obs.steps)
         walk = search_product(left, left.initial_states, obs.initial, obs.steps)
         arcs = sum(len(outgoing(left, walk.left_of(key))) for key in walk.parents)
-        assert (count.states, count.transitions) == (len(walk.parents), arcs)
+        assert count.size == (len(walk.parents), arcs)
         assert walk.collapsed == [key for key in walk.parents if key < len(left.states)]
         assert count.collapsed == sum(1 << key for key in walk.collapsed)
         assert count.left == sum(1 << left.states.index(x) for x in {walk.left_of(k) for k in walk.parents})
@@ -654,7 +681,8 @@ class TestCountMatchesWalk:
 
     def test_no_initial_state(self):
         aut = Automaton.build(["p", "q"], ["a"], ["a"], [("p", "a", "q")], [], [])
-        assert count_product(aut, aut.initial_states, 0, {"a": [0]}) == (0, 0, 0, 0)
+        count = count_product(aut, aut.initial_states, 0, {"a": [0]})
+        assert (*count.size, count.collapsed, count.left) == (0, 0, 0, 0)
         assert_count_matches_walk(aut)
 
     def test_event_outside_the_observer_alphabet_and_empty_ghat(self):
@@ -676,7 +704,8 @@ class TestCountMatchesWalk:
         assert not any(core.steps["b"])
         assert build_structure(aut, "ghat").states == ()
         assert count_product(aut, aut.initial_states, core.initial, core.steps).collapsed == 1 << aut.states.index("s")
-        assert count_product(aut, aut.initial_states & aut.secret_states, core.initial, core.steps) == (0, 0, 0, 0)
+        count = count_product(aut, aut.initial_states & aut.secret_states, core.initial, core.steps)
+        assert (*count.size, count.collapsed, count.left) == (0, 0, 0, 0)
         assert_count_matches_walk(aut)
 
 
