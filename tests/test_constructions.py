@@ -506,8 +506,7 @@ class TestMatchesReference:
 
         monkeypatch.setattr(constructions, "search_product", refuse)
         for aut, graphs in zip(automata, expected):
-            fresh = replace(aut)  # no closure tables kept from the first build
-            assert [build_structure(fresh, name) for name in ("cc", "cc-hat")] == graphs
+            assert [build_structure(aut, name) for name in ("cc", "cc-hat")] == graphs
 
     def test_silent_cycle(self):
         aut = validate(
